@@ -1,13 +1,17 @@
 // bench_kernels: GFLOP/s of every dispatchable GEMM kernel at model-zoo
-// shapes, plus the q8_0 quantized matmul.
+// shapes, the q8_0 quantized matmul, and the depthwise kernels.
 //
 // Each (shape, variant, kernel) cell times direct calls into the kernel
 // table — single thread, full row range — so the numbers are pure kernel
-// throughput with no pool or dispatch overhead.  Shapes are the GEMMs the
-// repo's model zoo actually runs: im2col'd 3x3 conv layers at the three
-// spatial resolutions, a VGG-width block, the Dense classifier head, and a
-// square reference point.  The headline is the geomean AVX2-over-scalar
-// speedup across all fp32 GEMM cells (the ISSUE's >= 3x acceptance gate).
+// throughput with no pool or dispatch overhead.  GEMM shapes are the ones
+// the repo's model zoo actually runs: im2col'd 3x3 conv layers at the three
+// spatial resolutions, a VGG-width block, the Dense classifier head, a
+// square reference point, and 1x1 (pointwise) convs on 4x4 and 2x2 planes
+// both per image and as the 64-column image groups Conv2D runs them in.
+// The depthwise rows time the forward, input-gradient and weight-gradient
+// entries over one image's planes at each depthwise layer of width-8
+// MobileNet.  The headline is the geomean AVX2-over-scalar speedup across
+// all fp32 GEMM cells.
 //
 //   $ ./bench/bench_kernels                      # sweep every supported kernel
 //   $ ./bench/bench_kernels --kernel avx2        # one kernel only
@@ -33,13 +37,32 @@ struct ShapeSpec {
 };
 
 constexpr ShapeSpec kShapes[] = {
-    {"conv3x3_first", 8, 1024, 27},   // first conv: 3ch in, 32x32 spatial
-    {"conv3x3_mid", 16, 256, 72},     // mid conv after one downsample
+    {"conv3x3_first", 8, 1024, 27},   // 3->8 conv over 32x32 px, wider than the 16x16 zoo (n = 256)
+    {"conv3x3_mid", 16, 256, 72},     // mid conv at 16x16 spatial
     {"conv3x3_deep", 32, 64, 144},    // deep conv at 8x8 spatial
     {"vgg_block", 32, 64, 288},       // VGG-width 3x3 block
     {"dense_head", 64, 10, 512},      // classifier head (batch 64)
     {"square256", 256, 256, 256},     // square reference point
+    {"pw64_image", 64, 16, 64},       // 1x1 conv 64->64 on one 4x4 image
+    {"pw64_group", 64, 64, 64},       // the same, a group of 4 images
+    {"pw128_image", 128, 4, 128},     // 1x1 conv 128->128 on one 2x2 image
+    {"pw128_group", 128, 64, 128},    // the same, a group of 16 images
 };
+
+/// One depthwise layer of width-8 MobileNet (3x3 filters, pad 1).
+struct DepthwiseSpec {
+  const char* tag;
+  std::size_t channels, hw, stride;
+};
+
+constexpr DepthwiseSpec kDepthwise[] = {
+    {"dw8_16x16_s1", 8, 16, 1},   {"dw16_16x16_s2", 16, 16, 2},
+    {"dw16_8x8_s1", 16, 8, 1},    {"dw32_8x8_s2", 32, 8, 2},
+    {"dw32_4x4_s1", 32, 4, 1},    {"dw64_4x4_s1", 64, 4, 1},
+    {"dw64_4x4_s2", 64, 4, 2},    {"dw128_2x2_s1", 128, 2, 1},
+};
+
+constexpr const char* kDepthwiseVariants[] = {"dw_fwd", "dw_dgrad", "dw_wgrad"};
 
 constexpr const char* kVariants[] = {"nn", "nt", "tn"};
 
@@ -99,7 +122,7 @@ int run(int argc, char** argv) {
           ? kernels::supported_kernels()
           : std::vector<kernels::KernelKind>{kernels::active_kernel()};
 
-  print_banner("kernel microbenchmarks: fp32 GEMM variants + q8_0 matmul",
+  print_banner("kernel microbenchmarks: fp32 GEMM variants, q8_0 matmul, depthwise",
                settings);
 
   BenchJson json("kernels", settings);
@@ -175,6 +198,60 @@ int run(int argc, char** argv) {
         const double gflops = flops / sec / 1e9;
         row.push_back(fixed(gflops, 2));
         json.add(std::string(s.tag) + ".q8_nt." +
+                     kernels::kernel_name(kind) + ".gflops",
+                 gflops);
+      }
+      table.add_row(row);
+    }
+    ++shape_idx;
+  }
+
+  // Depthwise entries: one image's planes per timed call (channels planes
+  // through one filter each), 2*k*k FLOPs per output pixel per pass.
+  for (const DepthwiseSpec& d : kDepthwise) {
+    const kernels::DwPlan plan =
+        kernels::dw_plan({d.hw, d.hw, 3, d.stride, 1});
+    const std::size_t plane_in = d.hw * d.hw;
+    const std::size_t plane_out = plan.out_h * plan.out_w;
+    kernels::AlignedBuffer<float> in(d.channels * plane_in);
+    kernels::AlignedBuffer<float> grad(d.channels * plane_in);
+    kernels::AlignedBuffer<float> out(d.channels * plane_out);
+    kernels::AlignedBuffer<float> filter(d.channels * 9);
+    kernels::AlignedBuffer<float> dfilter(d.channels * 9);
+    std::vector<float> bias(d.channels, 0.5F);
+    std::vector<float> dbias(d.channels, 0.0F);
+    std::vector<float> scratch(plan.scratch_floats);
+    fill_random(in.data(), in.size(), 4000 + shape_idx);
+    fill_random(out.data(), out.size(), 5000 + shape_idx);
+    fill_random(filter.data(), filter.size(), 6000 + shape_idx);
+    const double flops = 2.0 * 9.0 * static_cast<double>(plane_out * d.channels);
+    for (std::size_t v = 0; v < 3; ++v) {
+      std::vector<std::string> row = {d.tag, kDepthwiseVariants[v],
+                                      fixed(flops / 1e6, 3)};
+      for (const kernels::KernelKind kind : kinds) {
+        const kernels::KernelTable& kt = kernels::kernel_table(kind);
+        const auto body = [&] {
+          for (std::size_t c = 0; c < d.channels; ++c) {
+            const float* f = filter.data() + c * 9;
+            if (v == 0) {
+              kt.dw_forward(plan, in.data() + c * plane_in, f, bias[c],
+                            out.data() + c * plane_out, scratch.data());
+            } else if (v == 1) {
+              kt.dw_input_grad(plan, out.data() + c * plane_out, f,
+                               grad.data() + c * plane_in, scratch.data());
+            } else {
+              kt.dw_weight_grad(plan, in.data() + c * plane_in,
+                                out.data() + c * plane_out,
+                                dfilter.data() + c * 9, &dbias[c],
+                                scratch.data());
+            }
+          }
+        };
+        body();
+        const double sec = time_per_call(body);
+        const double gflops = flops / sec / 1e9;
+        row.push_back(fixed(gflops, 2));
+        json.add(std::string(d.tag) + "." + kDepthwiseVariants[v] + "." +
                      kernels::kernel_name(kind) + ".gflops",
                  gflops);
       }

@@ -1,7 +1,8 @@
 // Runtime-dispatched compute kernels.
 //
 // tdfm::kernels is a leaf library (no tdfm dependencies) holding the
-// hand-vectorized inner loops behind tensor/gemm.hpp and tensor/qgemm.hpp.
+// hand-vectorized inner loops behind tensor/gemm.hpp, tensor/qgemm.hpp and
+// the depthwise convolution (nn::DepthwiseConv2D).
 // One implementation table exists per instruction set:
 //
 //   scalar  the reference: plain loops, vectorization and FP contraction
@@ -24,6 +25,14 @@
 // away.  The q8 kernel is the exception: its per-block integer dot is exact
 // and its float accumulation order is fixed, so q8 results are bit-identical
 // across *all* kernel choices.
+//
+// The depthwise entries work on one [in_h, in_w] plane per call and slide the
+// k x k window directly, with no patch matrix.  Their forward pass and input
+// gradient repeat, per element, the operation sequence of im2col + the same
+// table's nn kernel (resp. tn kernel + col2im), so they are bit-identical to
+// that path (the input gradient for finite filters); the weight gradient is
+// a dot product of its own reduction shape (scalar: the sequential sum,
+// identical to the nt kernel).
 #pragma once
 
 #include <cstddef>
@@ -51,11 +60,82 @@ using GemmQ8RowsFn = void (*)(std::size_t r0, std::size_t r1, std::size_t n,
                               const float* as, const std::int8_t* bq,
                               const float* bs, float* c);
 
+/// One depthwise plane: a `kernel` x `kernel` filter slid over an
+/// [in_h, in_w] plane with step `stride` and `pad` zeros on every side (the
+/// single-channel case of tdfm::ConvGeometry).
+struct DwGeometry {
+  std::size_t in_h = 0, in_w = 0;
+  std::size_t kernel = 3;
+  std::size_t stride = 1;
+  std::size_t pad = 1;
+
+  [[nodiscard]] std::size_t out_h() const {
+    return (in_h + 2 * pad - kernel) / stride + 1;
+  }
+  [[nodiscard]] std::size_t out_w() const {
+    return (in_w + 2 * pad - kernel) / stride + 1;
+  }
+};
+
+/// Everything the depthwise kernels derive from a DwGeometry, computed once
+/// by dw_plan() and shared read-only by every plane of a layer call (and by
+/// every thread).
+///
+/// Each kernel call works in caller-owned scratch of `scratch_floats`
+/// floats.  Its first `plane_floats` hold a zero-padded copy of one plane,
+/// split by stride phase: padded row r (0 <= r < in_h + 2*pad) holds
+/// `stride` phase rows of `row_len` floats, and element i of phase q is
+/// padded column stride*i + q.  The input under output pixel (y, x) at tap
+/// t = (ky, kx) then sits at y*row_step + tap_offset[t] + x, so every tap
+/// reads a contiguous run whatever the stride.  Rows reach a whole 8-lane
+/// vector past the last output column, so vector loads never leave the
+/// buffer.  The rest holds one output-gradient plane bordered by zeros,
+/// `grad_lead` rows above and columns before it (`grad_rows` rows of
+/// `grad_row_len` floats), for kernels that gather instead of scatter.
+/// Interior elements: of phase q, [col_begin[q], col_end[q]); padded rows
+/// q, q + stride, ... inside the plane are phase row indexes
+/// [row_begin[q], row_end[q]).
+struct DwPlan {
+  DwGeometry geom;
+  std::size_t out_h = 0, out_w = 0;
+  std::size_t row_len = 0;
+  std::size_t row_step = 0;  ///< floats from output row y's inputs to y+1's
+  std::size_t plane_floats = 0;
+  std::size_t grad_lead = 0, grad_rows = 0, grad_row_len = 0;
+  std::size_t scratch_floats = 0;
+  std::vector<std::size_t> tap_offset;  ///< one per tap, (ky, kx) order
+  std::vector<std::size_t> col_begin, col_end, row_begin, row_end;
+};
+
+[[nodiscard]] DwPlan dw_plan(const DwGeometry& g);
+
+/// Depthwise forward of one plane: out[y, x] = bias + sum over taps t =
+/// (ky, kx) in ascending order of filter[t] * in[y*stride + ky - pad,
+/// x*stride + kx - pad], out-of-plane taps reading zero.
+using DwForwardFn = void (*)(const DwPlan& plan, const float* in,
+                             const float* filter, float bias, float* out,
+                             float* scratch);
+
+/// Input gradient of one plane (the adjoint of the forward pass, without
+/// bias): overwrites din[in_h, in_w].
+using DwInputGradFn = void (*)(const DwPlan& plan, const float* gout,
+                               const float* filter, float* din,
+                               float* scratch);
+
+/// Weight and bias gradients of one plane, accumulated: dfilter[t] += the dot
+/// of gout with tap t's window, *dbias += the sum of gout.
+using DwWeightGradFn = void (*)(const DwPlan& plan, const float* in,
+                                const float* gout, float* dfilter,
+                                float* dbias, float* scratch);
+
 struct KernelTable {
   GemmRowsFn nn;
   GemmRowsFn nt;
   GemmRowsFn tn;
   GemmQ8RowsFn q8_nt;
+  DwForwardFn dw_forward;
+  DwInputGradFn dw_input_grad;
+  DwWeightGradFn dw_weight_grad;
 };
 
 /// "scalar", "sse2", "avx2".

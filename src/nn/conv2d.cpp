@@ -1,9 +1,11 @@
 #include "nn/conv2d.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "core/thread_pool.hpp"
+#include "kernels/kernels.hpp"
 #include "obs/metrics.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/init.hpp"
@@ -11,26 +13,50 @@
 
 namespace tdfm::nn {
 
-// Per-image im2col convolution.  Each image's patch matrix is small enough
-// to stay resident in L1/L2 across the three GEMMs that touch it, which on
-// this library's layer sizes (tens of channels, <=16x16 maps) beats batching
-// all images into one wide, cache-evicting GEMM — measured ~25% faster end
-// to end on a single core.
+// Conv2D: im2col + GEMM over groups of images.  An image's patch matrix has
+// one column per output pixel, so on the small planes deep in the model zoo
+// (4x4, 2x2, 1x1) a per-image GEMM is a handful of columns wide and the
+// weight gradient a dot product of length 16 or less: call overhead, not
+// arithmetic.  Such images are therefore batched side by side into one patch
+// matrix [C*k*k, G*out_h*out_w] (im2col's row_stride/col_offset layout) with
+// G = ceil(64 / plane) images, so every GEMM spans at least 64 columns.
+// Planes of 64 px or more keep G = 1, the per-image path: there each patch
+// matrix already stays resident in L1/L2 across the three GEMMs that touch
+// it, which beats batching the whole batch into one wide, cache-evicting
+// GEMM (measured ~25% faster end to end on a single core).  Every nn kernel
+// computes an output element the same way wherever its column sits, so the
+// grouped forward pass is bit-identical to per-image GEMMs at every kernel
+// table.  The gradients may round differently: the weight gradient's dot
+// products get longer, and the avx2 tn kernel rounds its tail columns
+// (mul, add) unlike its full vectors (FMA).
 //
-// Parallelism (core/thread_pool.hpp) splits the batch across threads.  The
-// forward pass and the input gradient write disjoint per-image slices, so
-// they parallelise directly.  Weight/bias gradients are a sum over images;
-// to keep them bit-identical for every thread count, each image's
-// contribution is written to its own scratch slice in parallel, then the
-// slices are reduced into the parameter gradients serially in image order —
-// the exact addition sequence of the single-threaded loop.
+// DepthwiseConv2D: the direct sliding-window kernels of the kernel table
+// (kernels/kernels.hpp), one plane per call — no patch matrix at all.
+//
+// Parallelism (core/thread_pool.hpp) splits the work into fixed units —
+// image groups for Conv2D, images (forward) or channels (backward) for
+// DepthwiseConv2D — whose boundaries depend on the shapes only, never on the
+// thread count.  Outputs and input gradients are disjoint per unit.  Conv2D
+// weight/bias gradients are a sum over groups: each group's contribution is
+// written to its own scratch slice in parallel, then the slices are reduced
+// into the parameter gradients serially in group order — the exact addition
+// sequence of the single-threaded loop.  Depthwise weight/bias gradients are
+// per channel, so the task owning a channel accumulates its images in image
+// order directly.
 
 namespace {
-// Images per parallel chunk: aim for a handful of chunks per thread so the
+// Units per parallel chunk: aim for a handful of chunks per thread so the
 // scheduler can balance uneven progress without drowning in tiny tasks.
-std::size_t batch_grain(std::size_t batch) {
+std::size_t unit_grain(std::size_t units) {
   const std::size_t threads = core::ThreadPool::global_threads();
-  return std::max<std::size_t>(1, batch / (threads * 4));
+  return std::max<std::size_t>(1, units / (threads * 4));
+}
+
+// Images per Conv2D GEMM group: enough that one GEMM spans at least 64
+// output columns; 1 (the per-image path) for planes of 64 px or more.
+constexpr std::size_t kMinGroupColumns = 64;
+std::size_t group_images(std::size_t plane) {
+  return plane >= kMinGroupColumns ? 1 : (kMinGroupColumns + plane - 1) / plane;
 }
 
 // Convolution-level FLOP accounting (the im2col GEMMs also count under
@@ -41,6 +67,10 @@ void count_conv(std::size_t images, std::size_t flops_per_image) {
   static obs::Counter conv_flops = obs::Registry::global().counter("conv.flops");
   conv_images.add(images);
   conv_flops.add(images * flops_per_image);
+}
+
+kernels::DwPlan plane_plan(const ConvGeometry& g) {
+  return kernels::dw_plan({g.in_h, g.in_w, g.kernel, g.stride, g.pad});
 }
 }  // namespace
 
@@ -75,7 +105,7 @@ Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
     // rows against patch rows — C[out_c, pc] lands directly in the output
     // plane, no transpose.  Scratch is chunk-local; the nested parallel_for
     // inside gemm_q8_nt runs inline on pool workers.
-    core::parallel_for(0, batch, batch_grain(batch), [&](std::size_t b0, std::size_t b1) {
+    core::parallel_for(0, batch, unit_grain(batch), [&](std::size_t b0, std::size_t b1) {
       std::vector<float> rows(pc * pr);
       kernels::Q8Matrix qrows;
       for (std::size_t b = b0; b < b1; ++b) {
@@ -92,17 +122,31 @@ Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
     return out;
   }
   cached_input_ = input;
-  core::parallel_for(0, batch, batch_grain(batch), [&](std::size_t b0, std::size_t b1) {
-    std::vector<float> columns(pr * pc);  // chunk-local patch matrix
-    for (std::size_t b = b0; b < b1; ++b) {
-      im2col(geom_, input.data() + b * in_stride, columns.data());
-      // out[out_c, oh*ow] = W[out_c, pr] * columns[pr, pc]
-      gemm_nn(out_c_, pc, pr, weight_.value.data(), columns.data(),
-              out.data() + b * out_stride);
-      for (std::size_t oc = 0; oc < out_c_; ++oc) {
-        float* plane = out.data() + b * out_stride + oc * oh * ow;
-        const float bv = bias_.value[oc];
-        for (std::size_t i = 0; i < oh * ow; ++i) plane[i] += bv;
+  const std::size_t group = group_images(pc);
+  const std::size_t groups = (batch + group - 1) / group;
+  core::parallel_for(0, groups, unit_grain(groups), [&](std::size_t g0, std::size_t g1) {
+    // Chunk-local patch matrix; a group's GEMM output is staged only when it
+    // spans several images (one image's [out_c, pc] is its output plane).
+    std::vector<float> columns(pr * group * pc);
+    std::vector<float> staged(group > 1 ? out_c_ * group * pc : 0);
+    for (std::size_t gi = g0; gi < g1; ++gi) {
+      const std::size_t b0 = gi * group;
+      const std::size_t images = std::min(group, batch - b0);
+      const std::size_t cols = images * pc;
+      for (std::size_t i = 0; i < images; ++i) {
+        im2col(geom_, input.data() + (b0 + i) * in_stride, columns.data(), cols,
+               i * pc);
+      }
+      // C[out_c, cols] = W[out_c, pr] * columns[pr, cols]
+      float* c = group > 1 ? staged.data() : out.data() + b0 * out_stride;
+      gemm_nn(out_c_, cols, pr, weight_.value.data(), columns.data(), c);
+      for (std::size_t i = 0; i < images; ++i) {
+        for (std::size_t oc = 0; oc < out_c_; ++oc) {
+          const float* src = c + oc * cols + i * pc;
+          float* plane = out.data() + (b0 + i) * out_stride + oc * pc;
+          const float bv = bias_.value[oc];
+          for (std::size_t j = 0; j < pc; ++j) plane[j] = src[j] + bv;
+        }
       }
     }
   });
@@ -122,39 +166,61 @@ Tensor Conv2D::backward(const Tensor& grad_output) {
              "Conv2D grad_output shape mismatch");
   Tensor grad_input(cached_input_.shape());
   const std::size_t in_stride = geom_.in_c * geom_.in_h * geom_.in_w;
-  const std::size_t out_stride = out_c_ * oh * ow;
-  // Per-image dW/db contributions land in disjoint scratch slices; reduced
-  // serially below in image order so every thread count adds in the same
+  const std::size_t out_stride = out_c_ * pc;
+  const std::size_t group = group_images(pc);
+  const std::size_t groups = (batch + group - 1) / group;
+  // Per-group dW/db contributions land in disjoint scratch slices; reduced
+  // serially below in group order so every thread count adds in the same
   // sequence as the single-threaded loop.
   const std::size_t wsize = out_c_ * pr;
   const std::size_t slice = wsize + out_c_;
-  grad_scratch_.resize(batch * slice);
-  core::parallel_for(0, batch, batch_grain(batch), [&](std::size_t b0, std::size_t b1) {
-    std::vector<float> columns(pr * pc);
-    std::vector<float> grad_columns(pr * pc);
-    for (std::size_t b = b0; b < b1; ++b) {
-      const float* gout = grad_output.data() + b * out_stride;
-      float* dw = grad_scratch_.data() + b * slice;
+  grad_scratch_.resize(groups * slice);
+  core::parallel_for(0, groups, unit_grain(groups), [&](std::size_t g0, std::size_t g1) {
+    std::vector<float> columns(pr * group * pc);
+    std::vector<float> grad_columns(pr * group * pc);
+    std::vector<float> staged(group > 1 ? out_c_ * group * pc : 0);
+    for (std::size_t gi = g0; gi < g1; ++gi) {
+      const std::size_t b0 = gi * group;
+      const std::size_t images = std::min(group, batch - b0);
+      const std::size_t cols = images * pc;
+      // dY[out_c, cols]: the group's output-gradient planes side by side.
+      const float* gout = grad_output.data() + b0 * out_stride;
+      if (group > 1) {
+        for (std::size_t oc = 0; oc < out_c_; ++oc) {
+          for (std::size_t i = 0; i < images; ++i) {
+            std::memcpy(staged.data() + oc * cols + i * pc,
+                        gout + i * out_stride + oc * pc, pc * sizeof(float));
+          }
+        }
+        gout = staged.data();
+      }
+      float* dw = grad_scratch_.data() + gi * slice;
       float* db = dw + wsize;
       // Recompute the patch matrix (cheaper than caching one per batch image).
-      im2col(geom_, cached_input_.data() + b * in_stride, columns.data());
-      // dW_b[out_c, pr] = dY[out_c, pc] * columns[pr, pc]^T
-      gemm_nt(out_c_, pr, pc, gout, columns.data(), dw, /*accumulate=*/false);
-      // db_b[oc] = sum of dY plane
+      for (std::size_t i = 0; i < images; ++i) {
+        im2col(geom_, cached_input_.data() + (b0 + i) * in_stride,
+               columns.data(), cols, i * pc);
+      }
+      // dW_g[out_c, pr] = dY[out_c, cols] * columns[pr, cols]^T
+      gemm_nt(out_c_, pr, cols, gout, columns.data(), dw, /*accumulate=*/false);
+      // db_g[oc] = sum of the group's dY planes
       for (std::size_t oc = 0; oc < out_c_; ++oc) {
-        const float* plane = gout + oc * oh * ow;
+        const float* row = gout + oc * cols;
         float acc = 0.0F;
-        for (std::size_t i = 0; i < oh * ow; ++i) acc += plane[i];
+        for (std::size_t j = 0; j < cols; ++j) acc += row[j];
         db[oc] = acc;
       }
-      // dColumns[pr, pc] = W[out_c, pr]^T * dY[out_c, pc]
-      gemm_tn(pr, pc, out_c_, weight_.value.data(), gout, grad_columns.data());
-      col2im(geom_, grad_columns.data(), grad_input.data() + b * in_stride);
+      // dColumns[pr, cols] = W[out_c, pr]^T * dY[out_c, cols]
+      gemm_tn(pr, cols, out_c_, weight_.value.data(), gout, grad_columns.data());
+      for (std::size_t i = 0; i < images; ++i) {
+        col2im(geom_, grad_columns.data(),
+               grad_input.data() + (b0 + i) * in_stride, cols, i * pc);
+      }
     }
   });
   // Fixed-order reduction: identical bits regardless of thread count.
-  for (std::size_t b = 0; b < batch; ++b) {
-    const float* dw = grad_scratch_.data() + b * slice;
+  for (std::size_t gi = 0; gi < groups; ++gi) {
+    const float* dw = grad_scratch_.data() + gi * slice;
     for (std::size_t i = 0; i < wsize; ++i) weight_.grad[i] += dw[i];
     const float* db = dw + wsize;
     for (std::size_t oc = 0; oc < out_c_; ++oc) bias_.grad[oc] += db[oc];
@@ -187,6 +253,8 @@ DepthwiseConv2D::DepthwiseConv2D(std::size_t channels, std::size_t in_h,
       channels_(channels),
       weight_(Shape{channels, kernel * kernel}),
       bias_(Shape{channels}) {
+  TDFM_CHECK(in_h + 2 * pad >= kernel && in_w + 2 * pad >= kernel,
+             "kernel larger than padded input");
   he_normal(weight_.value, kernel * kernel, rng);
 }
 
@@ -199,24 +267,20 @@ Tensor DepthwiseConv2D::forward(const Tensor& input, bool /*training*/) {
   // activation cache for backward is skipped.
   if (!quantized_) cached_input_ = input;
   const std::size_t batch = input.dim(0);
-  const std::size_t oh = geom_.out_h();
-  const std::size_t ow = geom_.out_w();
   const std::size_t pr = geom_.patch_rows();  // k*k (single channel)
   const std::size_t pc = geom_.patch_cols();
-  Tensor out(Shape{batch, channels_, oh, ow});
+  Tensor out(Shape{batch, channels_, geom_.out_h(), geom_.out_w()});
   const std::size_t plane_in = geom_.in_h * geom_.in_w;
   count_conv(batch, 2 * channels_ * pr * pc);
-  core::parallel_for(0, batch, batch_grain(batch), [&](std::size_t b0, std::size_t b1) {
-    std::vector<float> columns(pr * pc);
+  const kernels::DwPlan plan = plane_plan(geom_);
+  const kernels::DwForwardFn fn = kernels::active_table().dw_forward;
+  core::parallel_for(0, batch, unit_grain(batch), [&](std::size_t b0, std::size_t b1) {
+    std::vector<float> scratch(plan.scratch_floats);
     for (std::size_t b = b0; b < b1; ++b) {
       for (std::size_t c = 0; c < channels_; ++c) {
-        const float* src = input.data() + (b * channels_ + c) * plane_in;
-        im2col(geom_, src, columns.data());
-        float* dst = out.data() + (b * channels_ + c) * pc;
-        // 1 x pc row = filter[1, k*k] * columns[k*k, pc]
-        gemm_nn(1, pc, pr, weight_.value.data() + c * pr, columns.data(), dst);
-        const float bv = bias_.value[c];
-        for (std::size_t i = 0; i < pc; ++i) dst[i] += bv;
+        const std::size_t p = b * channels_ + c;
+        fn(plan, input.data() + p * plane_in, weight_.value.data() + c * pr,
+           bias_.value[c], out.data() + p * pc, scratch.data());
       }
     }
   });
@@ -227,50 +291,35 @@ Tensor DepthwiseConv2D::backward(const Tensor& grad_output) {
   TDFM_CHECK(!quantized_,
              "DepthwiseConv2D: backward on a quantized (forward-only) layer");
   const std::size_t batch = cached_input_.dim(0);
-  const std::size_t oh = geom_.out_h();
-  const std::size_t ow = geom_.out_w();
   const std::size_t pr = geom_.patch_rows();
   const std::size_t pc = geom_.patch_cols();
   TDFM_CHECK(grad_output.rank() == 4 && grad_output.dim(0) == batch &&
-                 grad_output.dim(1) == channels_ && grad_output.dim(2) == oh &&
-                 grad_output.dim(3) == ow,
+                 grad_output.dim(1) == channels_ &&
+                 grad_output.dim(2) == geom_.out_h() &&
+                 grad_output.dim(3) == geom_.out_w(),
              "DepthwiseConv2D grad_output shape mismatch");
   Tensor grad_input(cached_input_.shape());
   const std::size_t plane_in = geom_.in_h * geom_.in_w;
-  const std::size_t wsize = channels_ * pr;
-  const std::size_t slice = wsize + channels_;
-  grad_scratch_.resize(batch * slice);
-  core::parallel_for(0, batch, batch_grain(batch), [&](std::size_t b0, std::size_t b1) {
-    std::vector<float> columns(pr * pc);
-    std::vector<float> grad_columns(pr * pc);
-    for (std::size_t b = b0; b < b1; ++b) {
-      float* dw = grad_scratch_.data() + b * slice;
-      float* db = dw + wsize;
-      for (std::size_t c = 0; c < channels_; ++c) {
-        const float* src = cached_input_.data() + (b * channels_ + c) * plane_in;
-        const float* gout = grad_output.data() + (b * channels_ + c) * pc;
-        im2col(geom_, src, columns.data());
-        // dW_b[c, k*k] = dY[1, pc] * columns[k*k, pc]^T
-        gemm_nt(1, pr, pc, gout, columns.data(), dw + c * pr,
-                /*accumulate=*/false);
-        float acc = 0.0F;
-        for (std::size_t i = 0; i < pc; ++i) acc += gout[i];
-        db[c] = acc;
-        // dColumns = W[c]^T * dY
-        gemm_tn(pr, pc, 1, weight_.value.data() + c * pr, gout, grad_columns.data());
-        col2im(geom_, grad_columns.data(),
-               grad_input.data() + (b * channels_ + c) * plane_in);
+  const kernels::DwPlan plan = plane_plan(geom_);
+  const kernels::KernelTable& table = kernels::active_table();
+  // One task owns whole channels: it accumulates the channel's filter and
+  // bias gradients over the images in image order, the serial loop's
+  // addition sequence, so no per-image scratch or reduction pass is needed.
+  core::parallel_for(0, channels_, unit_grain(channels_), [&](std::size_t c0, std::size_t c1) {
+    std::vector<float> scratch(plan.scratch_floats);
+    for (std::size_t c = c0; c < c1; ++c) {
+      const float* filter = weight_.value.data() + c * pr;
+      for (std::size_t b = 0; b < batch; ++b) {
+        const std::size_t p = b * channels_ + c;
+        const float* gout = grad_output.data() + p * pc;
+        table.dw_input_grad(plan, gout, filter, grad_input.data() + p * plane_in,
+                            scratch.data());
+        table.dw_weight_grad(plan, cached_input_.data() + p * plane_in, gout,
+                             weight_.grad.data() + c * pr, &bias_.grad[c],
+                             scratch.data());
       }
     }
   });
-  // Image-order reduction, matching the serial loop's addition sequence
-  // (b outer, c inner) per weight element.
-  for (std::size_t b = 0; b < batch; ++b) {
-    const float* dw = grad_scratch_.data() + b * slice;
-    for (std::size_t i = 0; i < wsize; ++i) weight_.grad[i] += dw[i];
-    const float* db = dw + wsize;
-    for (std::size_t c = 0; c < channels_; ++c) bias_.grad[c] += db[c];
-  }
   return grad_input;
 }
 
@@ -284,8 +333,6 @@ void DepthwiseConv2D::quantize_for_inference() {
   kernels::dequantize_rows_q8(q, weight_.value.data());
   weight_.grad = Tensor();
   cached_input_ = Tensor();
-  grad_scratch_.clear();
-  grad_scratch_.shrink_to_fit();
   quantized_ = true;
 }
 

@@ -9,7 +9,10 @@
 namespace tdfm::nn {
 
 /// Standard convolution: input [B, C, H, W] -> output [B, out_c, H', W'].
-/// Implemented as im2col + GEMM per image; weights stored [out_c, C*k*k].
+/// Implemented as im2col + GEMM per group of images: one image per group on
+/// output planes of at least 64 px (per-image GEMMs beat batching there,
+/// ~25% on one core), ceil(64 / plane) images on smaller planes so every GEMM
+/// spans at least 64 columns.  Weights stored [out_c, C*k*k].
 class Conv2D final : public Layer {
  public:
   Conv2D(std::size_t in_c, std::size_t out_c, std::size_t in_h, std::size_t in_w,
@@ -37,15 +40,17 @@ class Conv2D final : public Layer {
   Parameter weight_;  ///< [out_c, C*k*k]
   Parameter bias_;    ///< [out_c]
   Tensor cached_input_;
-  /// Per-image dW/db contributions [B, out_c*pr + out_c], filled in parallel
-  /// and reduced in image order so gradients are thread-count-invariant.
+  /// Per-group dW/db contributions [groups, out_c*pr + out_c], filled in
+  /// parallel and reduced in group order so gradients are
+  /// thread-count-invariant.
   std::vector<float> grad_scratch_;
   bool quantized_ = false;
   kernels::Q8Matrix qweight_;  ///< [out_c, C*k*k] q8_0 rows
 };
 
 /// Depthwise convolution (MobileNet): each input channel is convolved with
-/// its own k x k filter; channel count is preserved.
+/// its own k x k filter; channel count is preserved.  Runs the kernel table's
+/// direct sliding-window depthwise kernels, one plane per call.
 class DepthwiseConv2D final : public Layer {
  public:
   DepthwiseConv2D(std::size_t channels, std::size_t in_h, std::size_t in_w,
@@ -68,8 +73,6 @@ class DepthwiseConv2D final : public Layer {
   Parameter weight_;  ///< [channels, k*k]
   Parameter bias_;    ///< [channels]
   Tensor cached_input_;
-  /// Per-image dW/db contributions [B, channels*k*k + channels]; see Conv2D.
-  std::vector<float> grad_scratch_;
   bool quantized_ = false;
 };
 

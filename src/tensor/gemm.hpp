@@ -1,7 +1,8 @@
 // Single-precision matrix multiplication entry points.
 //
-// Convolution (via im2col) and dense layers reduce to GEMM, so these three
-// calls carry >90% of training time.  This layer owns threading (row-range
+// Standard convolution (via im2col) and dense layers reduce to GEMM, so
+// these three calls carry most of the training time (depthwise convolution
+// has its own kernels, kernels/kernels.hpp).  This layer owns threading (row-range
 // chunks over core::parallel_for) and FLOP accounting; the inner loops live
 // in tdfm::kernels, selected once at startup by cpuid or the TDFM_KERNEL
 // env var (scalar|sse2|avx2).  The avx2 table uses register-blocked 8xN

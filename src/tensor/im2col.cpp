@@ -5,11 +5,27 @@
 
 namespace tdfm {
 
+namespace {
+// 1x1, stride 1, no padding: the patch matrix is the image itself, one row
+// per channel plane.
+bool is_pointwise(const ConvGeometry& g) {
+  return g.kernel == 1 && g.stride == 1 && g.pad == 0;
+}
+}  // namespace
+
 void im2col(const ConvGeometry& g, const float* image, float* columns,
             std::size_t row_stride, std::size_t col_offset) {
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
   if (row_stride == 0) row_stride = oh * ow;
+  if (is_pointwise(g)) {
+    const std::size_t plane = g.in_h * g.in_w;
+    for (std::size_t c = 0; c < g.in_c; ++c) {
+      std::memcpy(columns + c * row_stride + col_offset, image + c * plane,
+                  plane * sizeof(float));
+    }
+    return;
+  }
   std::size_t row = 0;
   for (std::size_t c = 0; c < g.in_c; ++c) {
     const float* plane = image + c * g.in_h * g.in_w;
@@ -99,6 +115,16 @@ void col2im(const ConvGeometry& g, const float* columns, float* image_grad,
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
   if (row_stride == 0) row_stride = oh * ow;
+  if (is_pointwise(g)) {
+    // One addition per element, as in the general loop below.
+    const std::size_t plane = g.in_h * g.in_w;
+    for (std::size_t c = 0; c < g.in_c; ++c) {
+      const float* src = columns + c * row_stride + col_offset;
+      float* dst = image_grad + c * plane;
+      for (std::size_t i = 0; i < plane; ++i) dst[i] += src[i];
+    }
+    return;
+  }
   std::size_t row = 0;
   for (std::size_t c = 0; c < g.in_c; ++c) {
     float* plane = image_grad + c * g.in_h * g.in_w;

@@ -33,10 +33,11 @@ struct ConvGeometry {
 /// Unrolls one image [C, H, W] into the patch matrix
 /// [C*k*k, out_h*out_w] (row-major).  Out-of-bounds taps read as zero.
 ///
-/// For batched convolution the patch matrices of a whole batch live side by
-/// side in one wide matrix [C*k*k, B*out_h*out_w]: `row_stride` is that
-/// matrix's row length and `col_offset` the image's first column.  The
-/// defaults (0, 0) mean a stand-alone [C*k*k, out_h*out_w] matrix.
+/// For batched convolution the patch matrices of several images live side
+/// by side in one wide matrix [C*k*k, B*out_h*out_w] (nn::Conv2D batches the
+/// images of small output planes this way): `row_stride` is that matrix's
+/// row length and `col_offset` the image's first column.  The defaults
+/// (0, 0) mean a stand-alone [C*k*k, out_h*out_w] matrix.
 void im2col(const ConvGeometry& g, const float* image, float* columns,
             std::size_t row_stride = 0, std::size_t col_offset = 0);
 

@@ -20,6 +20,9 @@
 #include <cstddef>
 #include <string>
 
+#include "core/thread_pool.hpp"
+#include "kernels/kernels.hpp"
+
 namespace tdfm::kernels_test {
 
 /// Element-wise closeness with the k-scaled tolerance above.  Reports at
@@ -42,5 +45,30 @@ inline void expect_allclose(const float* got, const float* ref,
     }
   }
 }
+
+/// Restores the active kernel (and lets a test switch it) RAII-style, so a
+/// failing assertion cannot leak a forced kernel into later tests.
+class KernelGuard {
+ public:
+  KernelGuard() : saved_(kernels::active_kernel()) {}
+  ~KernelGuard() { kernels::set_active_kernel(saved_); }
+  KernelGuard(const KernelGuard&) = delete;
+  KernelGuard& operator=(const KernelGuard&) = delete;
+
+ private:
+  kernels::KernelKind saved_;
+};
+
+/// Same, for the global thread count.
+class ThreadGuard {
+ public:
+  ThreadGuard() : saved_(core::ThreadPool::global_threads()) {}
+  ~ThreadGuard() { core::ThreadPool::set_global_threads(saved_); }
+  ThreadGuard(const ThreadGuard&) = delete;
+  ThreadGuard& operator=(const ThreadGuard&) = delete;
+
+ private:
+  std::size_t saved_;
+};
 
 }  // namespace tdfm::kernels_test

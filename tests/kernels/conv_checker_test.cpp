@@ -1,0 +1,223 @@
+// Small-plane convolution paths vs the per-image im2col reference.
+//
+// Depthwise: the direct kernels repeat the im2col path's per-element
+// operation sequence, so for every kernel table the forward pass must be
+// memcmp-equal to im2col + that table's nn kernel (plus bias) and the input
+// gradient memcmp-equal to that table's tn kernel + col2im.  The weight and
+// bias gradients reduce in their own shape: within the checker's k-scaled
+// tolerance of the nt kernel's dot, and bit-identical to it for the scalar
+// reference (a sequential sum in both).
+//
+// Grouped Conv2D: images whose output plane is under 64 px share one GEMM.
+// The forward pass must be memcmp-equal to per-image GEMMs at every table;
+// gradients within tolerance of the per-image reference, and exactly equal
+// where the plane keeps the per-image path (>= 64 px).
+#include <gtest/gtest.h>
+
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "checker.hpp"
+#include "core/rng.hpp"
+#include "kernels/kernels.hpp"
+#include "nn/conv2d.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/im2col.hpp"
+
+namespace tdfm {
+namespace {
+
+using kernels_test::expect_allclose;
+using kernels_test::KernelGuard;
+
+std::vector<float> random_vector(std::size_t n, Rng& rng) {
+  std::vector<float> v(n);
+  for (auto& x : v) x = rng.normal();
+  return v;
+}
+
+bool bit_equal(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/// Every combination of stride 1/2, pad 0/1 and kernel 1/3 over 1x1, 2x2,
+/// 4x4, odd-sized and 16x16 planes (the shapes the padding admits).
+std::vector<kernels::DwGeometry> depthwise_cases() {
+  const std::size_t planes[][2] = {{1, 1}, {2, 2}, {4, 4}, {5, 7}, {9, 3}, {16, 16}};
+  std::vector<kernels::DwGeometry> cases;
+  for (const auto& hw : planes) {
+    for (const std::size_t kernel : {1, 3}) {
+      for (const std::size_t stride : {1, 2}) {
+        for (const std::size_t pad : {0, 1}) {
+          if (hw[0] + 2 * pad < kernel || hw[1] + 2 * pad < kernel) continue;
+          cases.push_back({hw[0], hw[1], kernel, stride, pad});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+std::string describe(kernels::KernelKind kind, const kernels::DwGeometry& g) {
+  return std::string(kernels::kernel_name(kind)) + " " + std::to_string(g.in_h) +
+         "x" + std::to_string(g.in_w) + " k" + std::to_string(g.kernel) + " s" +
+         std::to_string(g.stride) + " p" + std::to_string(g.pad);
+}
+
+TEST(ConvChecker, DepthwiseKernelsMatchIm2colPath) {
+  for (const kernels::DwGeometry& g : depthwise_cases()) {
+    const ConvGeometry cg{1, g.in_h, g.in_w, g.kernel, g.stride, g.pad};
+    const std::size_t pr = cg.patch_rows();
+    const std::size_t pc = cg.patch_cols();
+    ASSERT_EQ(pc, g.out_h() * g.out_w());
+    Rng rng(g.in_h * 131 + g.in_w * 17 + g.kernel * 5 + g.stride * 3 + g.pad);
+    const auto image = random_vector(g.in_h * g.in_w, rng);
+    const auto filter = random_vector(pr, rng);
+    const auto gout = random_vector(pc, rng);
+    const float bias = rng.normal();
+    const auto dfilter_seed = random_vector(pr, rng);
+    const float dbias_seed = rng.normal();
+    std::vector<float> columns(pr * pc);
+    im2col(cg, image.data(), columns.data());
+    // Scratch starts as garbage: no kernel may depend on its contents.
+    const kernels::DwPlan plan = kernels::dw_plan(g);
+    std::vector<float> scratch(plan.scratch_floats);
+    const auto poison = [&] {
+      std::fill(scratch.begin(), scratch.end(),
+                std::numeric_limits<float>::quiet_NaN());
+    };
+
+    for (const kernels::KernelKind kind : kernels::supported_kernels()) {
+      const kernels::KernelTable& table = kernels::kernel_table(kind);
+      const std::string what = describe(kind, g);
+
+      std::vector<float> ref(pc);
+      table.nn(0, 1, 1, pc, pr, filter.data(), columns.data(), ref.data(), false);
+      for (float& v : ref) v += bias;
+      std::vector<float> got(pc, -1.0F);
+      poison();
+      table.dw_forward(plan, image.data(), filter.data(), bias, got.data(),
+                       scratch.data());
+      EXPECT_TRUE(bit_equal(got.data(), ref.data(), pc)) << "forward, " << what;
+
+      std::vector<float> grad_columns(pr * pc);
+      table.tn(0, pr, pr, pc, 1, filter.data(), gout.data(), grad_columns.data(),
+               false);
+      std::vector<float> ref_din(g.in_h * g.in_w, 0.0F);
+      col2im(cg, grad_columns.data(), ref_din.data());
+      std::vector<float> din(ref_din.size(), -1.0F);  // must be overwritten
+      poison();
+      table.dw_input_grad(plan, gout.data(), filter.data(), din.data(), scratch.data());
+      EXPECT_TRUE(bit_equal(din.data(), ref_din.data(), din.size()))
+          << "input gradient, " << what;
+
+      std::vector<float> dots(pr);
+      table.nt(0, 1, 1, pr, pc, gout.data(), columns.data(), dots.data(), false);
+      std::vector<float> ref_dw = dfilter_seed;
+      for (std::size_t t = 0; t < pr; ++t) ref_dw[t] += dots[t];
+      float sum = 0.0F;
+      for (const float v : gout) sum += v;
+      const float ref_db = dbias_seed + sum;
+      std::vector<float> dw = dfilter_seed;
+      float db = dbias_seed;
+      poison();
+      table.dw_weight_grad(plan, image.data(), gout.data(), dw.data(), &db,
+                           scratch.data());
+      expect_allclose(dw.data(), ref_dw.data(), pr, pc, "filter gradient, " + what);
+      expect_allclose(&db, &ref_db, 1, pc, "bias gradient, " + what);
+      if (kind == kernels::KernelKind::kScalar) {
+        EXPECT_TRUE(bit_equal(dw.data(), ref_dw.data(), pr)) << what;
+        EXPECT_TRUE(bit_equal(&db, &ref_db, 1)) << what;
+      }
+    }
+  }
+}
+
+struct ConvCase {
+  std::size_t in_c, out_c, hw, kernel, stride, pad, batch;
+};
+
+TEST(ConvChecker, GroupedConv2DMatchesPerImagePath) {
+  KernelGuard kernel_guard;
+  const ConvCase cases[] = {
+      {8, 8, 4, 1, 1, 0, 9},  // 1x1 on 4x4: groups of 4, the last one short
+      {6, 5, 2, 3, 1, 1, 5},  // 2x2 plane: one short group of 16
+      {3, 4, 5, 3, 2, 1, 7},  // 3x3 output plane: groups of 8
+      {2, 3, 1, 1, 1, 0, 3},  // 1x1 plane
+      {4, 3, 8, 3, 1, 1, 3},  // 8x8 = 64 px: the per-image path
+  };
+  for (const ConvCase& cc : cases) {
+    const ConvGeometry cg{cc.in_c, cc.hw, cc.hw, cc.kernel, cc.stride, cc.pad};
+    const std::size_t pr = cg.patch_rows();
+    const std::size_t pc = cg.patch_cols();
+    const std::size_t in_stride = cc.in_c * cc.hw * cc.hw;
+    const std::size_t out_stride = cc.out_c * pc;
+    const bool per_image = pc >= 64;
+    for (const kernels::KernelKind kind : kernels::supported_kernels()) {
+      kernels::set_active_kernel(kind);
+      const std::string what = std::string(kernels::kernel_name(kind)) + " " +
+                               std::to_string(cc.in_c) + "->" +
+                               std::to_string(cc.out_c) + " plane " +
+                               std::to_string(pc) + " batch " +
+                               std::to_string(cc.batch);
+      Rng rng(cc.in_c * 7 + cc.hw * 13 + cc.batch);
+      nn::Conv2D conv(cc.in_c, cc.out_c, cc.hw, cc.hw, cc.kernel, cc.stride,
+                      cc.pad, rng);
+      Tensor x(Shape{cc.batch, cc.in_c, cc.hw, cc.hw});
+      for (float& v : x.flat()) v = rng.normal();
+      Tensor gy(Shape{cc.batch, cc.out_c, cg.out_h(), cg.out_w()});
+      for (float& v : gy.flat()) v = rng.normal();
+      const std::vector<nn::Parameter*> params = conv.parameters();
+      const float* w = params[0]->value.data();
+      const float* bias = params[1]->value.data();
+
+      const Tensor y = conv.forward(x, true);
+      const Tensor gx = conv.backward(gy);
+
+      // Per-image reference, in the pre-grouping loop's operation order.
+      std::vector<float> ref_y(cc.batch * out_stride);
+      std::vector<float> ref_gx(cc.batch * in_stride, 0.0F);
+      std::vector<float> ref_dw(cc.out_c * pr, 0.0F);
+      std::vector<float> ref_db(cc.out_c, 0.0F);
+      std::vector<float> columns(pr * pc), grad_columns(pr * pc), dw_b(cc.out_c * pr);
+      for (std::size_t b = 0; b < cc.batch; ++b) {
+        im2col(cg, x.data() + b * in_stride, columns.data());
+        float* yb = ref_y.data() + b * out_stride;
+        gemm_nn(cc.out_c, pc, pr, w, columns.data(), yb);
+        for (std::size_t oc = 0; oc < cc.out_c; ++oc) {
+          for (std::size_t j = 0; j < pc; ++j) yb[oc * pc + j] += bias[oc];
+        }
+        const float* gb = gy.data() + b * out_stride;
+        gemm_nt(cc.out_c, pr, pc, gb, columns.data(), dw_b.data());
+        for (std::size_t i = 0; i < dw_b.size(); ++i) ref_dw[i] += dw_b[i];
+        for (std::size_t oc = 0; oc < cc.out_c; ++oc) {
+          float acc = 0.0F;
+          for (std::size_t j = 0; j < pc; ++j) acc += gb[oc * pc + j];
+          ref_db[oc] += acc;
+        }
+        gemm_tn(pr, pc, cc.out_c, w, gb, grad_columns.data());
+        col2im(cg, grad_columns.data(), ref_gx.data() + b * in_stride);
+      }
+
+      EXPECT_TRUE(bit_equal(y.data(), ref_y.data(), ref_y.size()))
+          << "forward, " << what;
+      const float* dw = params[0]->grad.data();
+      const float* db = params[1]->grad.data();
+      const std::size_t terms = cc.batch * pc;
+      expect_allclose(dw, ref_dw.data(), ref_dw.size(), terms, "dW, " + what);
+      expect_allclose(db, ref_db.data(), ref_db.size(), terms, "db, " + what);
+      expect_allclose(gx.data(), ref_gx.data(), ref_gx.size(), cc.out_c,
+                      "dX, " + what);
+      if (per_image) {
+        EXPECT_TRUE(bit_equal(dw, ref_dw.data(), ref_dw.size())) << what;
+        EXPECT_TRUE(bit_equal(db, ref_db.data(), ref_db.size())) << what;
+        EXPECT_TRUE(bit_equal(gx.data(), ref_gx.data(), ref_gx.size())) << what;
+      }
+    }
+  }
+}
+
+}  // namespace
+}  // namespace tdfm

@@ -25,6 +25,8 @@ namespace tdfm {
 namespace {
 
 using kernels_test::expect_allclose;
+using kernels_test::KernelGuard;
+using kernels_test::ThreadGuard;
 
 struct GemmShape {
   std::size_t m, n, k;
@@ -58,31 +60,6 @@ kernels::GemmRowsFn variant_fn(const kernels::KernelTable& table, int variant) {
 }
 
 constexpr const char* kVariantNames[] = {"nn", "nt", "tn"};
-
-/// Restores the active kernel (and lets a test switch it) RAII-style, so a
-/// failing assertion cannot leak a forced kernel into later tests.
-class KernelGuard {
- public:
-  KernelGuard() : saved_(kernels::active_kernel()) {}
-  ~KernelGuard() { kernels::set_active_kernel(saved_); }
-  KernelGuard(const KernelGuard&) = delete;
-  KernelGuard& operator=(const KernelGuard&) = delete;
-
- private:
-  kernels::KernelKind saved_;
-};
-
-/// Same, for the global thread count.
-class ThreadGuard {
- public:
-  ThreadGuard() : saved_(core::ThreadPool::global_threads()) {}
-  ~ThreadGuard() { core::ThreadPool::set_global_threads(saved_); }
-  ThreadGuard(const ThreadGuard&) = delete;
-  ThreadGuard& operator=(const ThreadGuard&) = delete;
-
- private:
-  std::size_t saved_;
-};
 
 TEST(KernelChecker, Fp32VariantsMatchScalarReference) {
   const auto& ref_table = kernels::kernel_table(kernels::KernelKind::kScalar);

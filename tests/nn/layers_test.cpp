@@ -45,6 +45,12 @@ TEST(Conv2D, OutputGeometry) {
             (Shape{1, 4, 8, 8}));
 }
 
+TEST(DepthwiseConv2D, RejectsKernelLargerThanPaddedInput) {
+  Rng rng(303);
+  EXPECT_THROW(DepthwiseConv2D(2, 1, 1, 3, 1, 0, rng), InvariantError);
+  EXPECT_NO_THROW(DepthwiseConv2D(2, 1, 1, 3, 1, 1, rng));
+}
+
 TEST(Conv2D, TranslatesInputShiftToOutputShift) {
   // Convolution is shift-equivariant away from borders: shifting the input
   // one pixel right shifts the output one pixel right.

@@ -2,9 +2,10 @@
 //
 // The thread pool's contract (core/thread_pool.hpp) is that parallelism may
 // change only wall-clock, never results: GEMM partitions rows without
-// changing per-row arithmetic, convolution reduces per-image gradient slices
-// in fixed image order, and the ensemble forks its RNG streams serially
-// before training members concurrently.  These tests pin that contract by
+// changing per-row arithmetic, convolution reduces per-group gradient slices
+// in fixed group order (depthwise: per channel, in image order), and the
+// ensemble forks its RNG streams serially before training members
+// concurrently.  These tests pin that contract by
 // comparing exact floats between a 1-thread and a 4-thread run (the pool is
 // deliberately oversubscribed relative to small CI machines — determinism
 // must hold regardless of physical cores).
@@ -65,55 +66,71 @@ TEST(ThreadingDeterminism, GemmKernelsAreThreadCountInvariant) {
   }
 }
 
-TEST(ThreadingDeterminism, ConvForwardBackwardIsThreadCountInvariant) {
+// Forward output, input gradient and parameter gradients of one
+// forward/backward pass, concatenated (the gradient fed back is the output).
+std::vector<float> forward_backward(nn::Layer& layer, const Tensor& x) {
+  const Tensor y = layer.forward(x, true);
+  const Tensor gx = layer.backward(y);
+  std::vector<float> all(y.flat().begin(), y.flat().end());
+  all.insert(all.end(), gx.flat().begin(), gx.flat().end());
+  for (auto* p : layer.parameters()) {
+    all.insert(all.end(), p->grad.flat().begin(), p->grad.flat().end());
+  }
+  return all;
+}
+
+// Builds a fresh layer with make(rng) and runs it on a [batch, c, h, w]
+// input at 1 and at 4 threads.
+template <typename MakeLayer>
+void expect_layer_thread_invariant(Shape input_shape, std::uint64_t seed,
+                                   MakeLayer make) {
   PoolGuard guard;
-  const auto run = [] {
-    Rng rng(17);
-    nn::Conv2D conv(3, 6, 8, 8, 3, 1, 1, rng);
-    Tensor x(Shape{9, 3, 8, 8});  // odd batch: uneven chunks at 4 threads
+  const auto run = [&] {
+    Rng rng(seed);
+    auto layer = make(rng);
+    Tensor x(input_shape);
     uniform_init(x, -1.0F, 1.0F, rng);
-    const Tensor y = conv.forward(x, true);
-    const Tensor gx = conv.backward(y);
-    std::vector<float> all(y.flat().begin(), y.flat().end());
-    all.insert(all.end(), gx.flat().begin(), gx.flat().end());
-    for (auto* p : conv.parameters()) {
-      all.insert(all.end(), p->grad.flat().begin(), p->grad.flat().end());
-    }
-    return all;
+    return forward_backward(layer, x);
   };
   core::ThreadPool::set_global_threads(1);
   const auto serial = run();
   core::ThreadPool::set_global_threads(4);
   EXPECT_EQ(run(), serial);
+}
+
+TEST(ThreadingDeterminism, ConvForwardBackwardIsThreadCountInvariant) {
+  // odd batch: uneven chunks at 4 threads
+  expect_layer_thread_invariant(Shape{9, 3, 8, 8}, 17, [](Rng& rng) {
+    return nn::Conv2D(3, 6, 8, 8, 3, 1, 1, rng);
+  });
+}
+
+TEST(ThreadingDeterminism, GroupedPointwiseConvIsThreadCountInvariant) {
+  // A 4x4 output plane runs in groups of 4 images; batch 9 leaves the last
+  // group with one image, and 3 groups split unevenly over 4 threads.
+  expect_layer_thread_invariant(Shape{9, 8, 4, 4}, 29, [](Rng& rng) {
+    return nn::Conv2D(8, 8, 4, 4, 1, 1, 0, rng);
+  });
 }
 
 TEST(ThreadingDeterminism, DepthwiseConvIsThreadCountInvariant) {
-  PoolGuard guard;
-  const auto run = [] {
-    Rng rng(19);
-    nn::DepthwiseConv2D conv(4, 8, 8, 3, 1, 1, rng);
-    Tensor x(Shape{7, 4, 8, 8});
-    uniform_init(x, -1.0F, 1.0F, rng);
-    const Tensor y = conv.forward(x, true);
-    const Tensor gx = conv.backward(y);
-    std::vector<float> all(y.flat().begin(), y.flat().end());
-    all.insert(all.end(), gx.flat().begin(), gx.flat().end());
-    for (auto* p : conv.parameters()) {
-      all.insert(all.end(), p->grad.flat().begin(), p->grad.flat().end());
-    }
-    return all;
-  };
-  core::ThreadPool::set_global_threads(1);
-  const auto serial = run();
-  core::ThreadPool::set_global_threads(4);
-  EXPECT_EQ(run(), serial);
+  expect_layer_thread_invariant(Shape{7, 4, 8, 8}, 19, [](Rng& rng) {
+    return nn::DepthwiseConv2D(4, 8, 8, 3, 1, 1, rng);
+  });
 }
 
-// The flag-level guarantee: a ConvNet trained with --threads 1 and
+TEST(ThreadingDeterminism, StridedDepthwiseConvIsThreadCountInvariant) {
+  // Odd input plane: the stride-2 window leaves the last column unread.
+  expect_layer_thread_invariant(Shape{7, 6, 9, 9}, 31, [](Rng& rng) {
+    return nn::DepthwiseConv2D(6, 9, 9, 3, 2, 1, rng);
+  });
+}
+
+// The flag-level guarantee: a model trained with --threads 1 and
 // --threads 4 ends with identical weights and identical test accuracy.
 // Runs with metrics AND tracing enabled — the obs instrumentation writes
 // only to side buffers, so it must not perturb a single bit of training.
-TEST(ThreadingDeterminism, TrainedConvNetIsBitIdenticalAcrossThreadCounts) {
+void expect_training_thread_invariant(models::Arch arch) {
   PoolGuard guard;
   struct ObsGuard {
     bool metrics = obs::metrics_enabled();
@@ -141,7 +158,7 @@ TEST(ThreadingDeterminism, TrainedConvNetIsBitIdenticalAcrossThreadCounts) {
     opts.auto_tune = false;
     opts.threads = threads;  // the --threads flag path through TrainOptions
     Rng build_rng(7);
-    auto net = models::build_model(models::Arch::kConvNet, cfg, build_rng);
+    auto net = models::build_model(arch, cfg, build_rng);
     nn::CrossEntropyLoss ce;
     nn::Trainer trainer(opts);
     Rng fit_rng(9);
@@ -161,6 +178,16 @@ TEST(ThreadingDeterminism, TrainedConvNetIsBitIdenticalAcrossThreadCounts) {
   ASSERT_EQ(weights_1.size(), weights_4.size());
   EXPECT_EQ(weights_1, weights_4);  // exact float equality, no tolerance
   EXPECT_EQ(acc_1, acc_4);
+}
+
+TEST(ThreadingDeterminism, TrainedConvNetIsBitIdenticalAcrossThreadCounts) {
+  expect_training_thread_invariant(models::Arch::kConvNet);
+}
+
+// MobileNet runs every depthwise kernel entry and grouped pointwise convs on
+// its 4x4 and 2x2 planes.
+TEST(ThreadingDeterminism, TrainedMobileNetIsBitIdenticalAcrossThreadCounts) {
+  expect_training_thread_invariant(models::Arch::kMobileNet);
 }
 
 // Ensemble members train concurrently; forked RNG streams and per-member
