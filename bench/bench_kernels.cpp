@@ -1,5 +1,7 @@
 // bench_kernels: GFLOP/s of every dispatchable GEMM kernel at model-zoo
-// shapes, the q8_0 quantized matmul, and the depthwise kernels.
+// shapes, the q8_0 quantized matmul, and the depthwise kernels; and the time
+// the quantized conv path spends staging one image's activations (im2row,
+// then q8_0 quantization of the patch rows per kernel table).
 //
 // Each (shape, variant, kernel) cell times direct calls into the kernel
 // table — single thread, full row range — so the numbers are pure kernel
@@ -10,8 +12,10 @@
 // both per image and as the 64-column image groups Conv2D runs them in.
 // The depthwise rows time the forward, input-gradient and weight-gradient
 // entries over one image's planes at each depthwise layer of width-8
-// MobileNet.  The headline is the geomean AVX2-over-scalar speedup across
-// all fp32 GEMM cells.
+// MobileNet.  The staging rows use the patch matrices of the model zoo's
+// convolutions at width 8 (one image; the 1x1 convs on 4x4 and 2x2 planes
+// also as the image groups Conv2D runs them in).  The headline is the
+// geomean AVX2-over-scalar speedup across all fp32 GEMM cells.
 //
 //   $ ./bench/bench_kernels                      # sweep every supported kernel
 //   $ ./bench/bench_kernels --kernel avx2        # one kernel only
@@ -23,6 +27,7 @@
 #include "bench_common.hpp"
 #include "kernels/aligned.hpp"
 #include "kernels/quant.hpp"
+#include "tensor/im2col.hpp"
 
 namespace tdfm::bench {
 namespace {
@@ -63,6 +68,26 @@ constexpr DepthwiseSpec kDepthwise[] = {
 };
 
 constexpr const char* kDepthwiseVariants[] = {"dw_fwd", "dw_dgrad", "dw_wgrad"};
+
+/// One quantized Conv2D site of width-8 model-zoo nets: `images` images of
+/// a conv's input, unrolled by im2row into [images*out_h*out_w, C*k*k]
+/// patch rows that are then q8_0-quantized.
+struct StagingSpec {
+  const char* tag;
+  std::size_t in_c, hw, kernel, stride, pad, images;
+};
+
+constexpr StagingSpec kStaging[] = {
+    {"conv3x3_first", 3, 16, 3, 1, 1, 1},  // stem 3->8 at 16x16
+    {"conv3x3_mid", 8, 16, 3, 1, 1, 1},    // 8->16 at 16x16
+    {"conv3x3_deep", 16, 8, 3, 1, 1, 1},   // 16->16 at 8x8
+    {"conv3x3_s2", 16, 16, 3, 2, 1, 1},    // strided 16->32, 16x16 -> 8x8
+    {"conv3x3_1px", 64, 1, 3, 1, 1, 1},    // VGG's last stage on 1x1 planes
+    {"pw64_image", 64, 4, 1, 1, 0, 1},     // 1x1 conv 64->64 on a 4x4 image
+    {"pw64_group", 64, 4, 1, 1, 0, 4},     // the same, a group of 4 images
+    {"pw128_image", 128, 2, 1, 1, 0, 1},   // 1x1 conv 128->128 on 2x2
+    {"pw128_group", 128, 2, 1, 1, 0, 16},  // the same, a group of 16 images
+};
 
 constexpr const char* kVariants[] = {"nn", "nt", "tn"};
 
@@ -261,6 +286,47 @@ int run(int argc, char** argv) {
   }
 
   std::cout << table.render() << "\n";
+
+  // Activation staging of the quantized conv path: im2row (one function,
+  // not dispatched) and per-table quantization of the patch rows.
+  std::vector<std::string> staging_columns = {"conv", "patch rows", "im2row us"};
+  for (const kernels::KernelKind kind : kinds) {
+    staging_columns.push_back(std::string("quantize ") + kernels::kernel_name(kind) + " us");
+  }
+  AsciiTable staging(staging_columns);
+  for (const StagingSpec& st : kStaging) {
+    const ConvGeometry g{st.in_c, st.hw, st.hw, st.kernel, st.stride, st.pad};
+    const std::size_t rows = st.images * g.patch_cols();
+    const std::size_t cols = g.patch_rows();
+    const std::size_t in_size = st.in_c * st.hw * st.hw;
+    kernels::AlignedBuffer<float> images(st.images * in_size);
+    kernels::AlignedBuffer<float> patches(rows * cols);
+    fill_random(images.data(), images.size(), 7000 + shape_idx);
+    const auto unroll = [&] {
+      for (std::size_t i = 0; i < st.images; ++i) {
+        im2row(g, images.data() + i * in_size, patches.data() + i * g.patch_cols() * cols);
+      }
+    };
+    unroll();
+    const double im2row_us = 1e6 * time_per_call(unroll);
+    json.add(std::string(st.tag) + ".im2row.us", im2row_us);
+    std::vector<std::string> row = {st.tag, std::to_string(rows) + "x" + std::to_string(cols),
+                                    fixed(im2row_us, 2)};
+    const std::size_t blocks = (cols + kernels::kQ8Block - 1) / kernels::kQ8Block;
+    kernels::AlignedBuffer<std::int8_t> codes(rows * blocks * kernels::kQ8Block);
+    kernels::AlignedBuffer<float> scales(rows * blocks);
+    for (const kernels::KernelKind kind : kinds) {
+      const kernels::QuantizeQ8Fn fn = kernels::kernel_table(kind).quantize_q8;
+      const auto body = [&] { fn(patches.data(), rows, cols, codes.data(), scales.data()); };
+      body();
+      const double us = 1e6 * time_per_call(body);
+      row.push_back(fixed(us, 2));
+      json.add(std::string(st.tag) + ".quantize." + kernels::kernel_name(kind) + ".us", us);
+    }
+    staging.add_row(row);
+    ++shape_idx;
+  }
+  std::cout << staging.render() << "\n";
 
   if (speedup_cells > 0) {
     const double geomean =

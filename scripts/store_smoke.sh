@@ -21,6 +21,7 @@ set -euo pipefail
 
 RUNNER=${1:?usage: store_smoke.sh <study_runner> <study_query> [workdir]}
 QUERY=${2:?usage: store_smoke.sh <study_runner> <study_query> [workdir]}
+QUERY=$(realpath "$(command -v "$QUERY")")  # step 1 runs it from $WORK
 WORK=${3:-$(mktemp -d)}
 rm -rf "$WORK"
 mkdir -p "$WORK"
@@ -31,8 +32,11 @@ run() { "$RUNNER" --preset smoke --trials 6 --log warn "$@"; }
 
 # --- 1. lossless import, >= 5x smaller ---------------------------------------
 run --jobs 2 --journal "$WORK/smoke.jsonl" --report csv --out "$WORK/ref.csv"
-"$QUERY" import --journal "$WORK/smoke.jsonl" --store "$WORK/smoke.store" \
-    --log warn 2> "$WORK/import.log"
+# The manifest records the journal path it was imported from, so import from
+# inside $WORK by relative path: the sizes, and the 5x gate, must not depend
+# on where the build directory lives.
+(cd "$WORK" && "$QUERY" import --journal smoke.jsonl --store smoke.store \
+    --log warn) 2> "$WORK/import.log"
 grep -q "verified: export reproduces the journal byte-for-byte" \
     "$WORK/import.log" \
   || { echo "FAIL: import did not verify byte-identity"; cat "$WORK/import.log"; exit 1; }

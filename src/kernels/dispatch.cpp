@@ -12,19 +12,20 @@ namespace tdfm::kernels {
 namespace {
 
 constexpr KernelTable kScalarTable{
-    gemm_nn_rows_scalar, gemm_nt_rows_scalar,  gemm_tn_rows_scalar,
-    gemm_q8_rows_scalar, dw_forward_scalar,    dw_input_grad_scalar,
-    dw_weight_grad_scalar};
-// SSE2 has no efficient int8 widening (needs SSE4.1), so its q8 entry is the
-// scalar kernel — the q8 dot is exact either way, the choice is pure speed.
+    gemm_nn_rows_scalar,   gemm_nt_rows_scalar,   gemm_tn_rows_scalar,
+    gemm_q8_rows_scalar,   quantize_q8_rows_scalar, dw_forward_scalar,
+    dw_input_grad_scalar,  dw_weight_grad_scalar};
+// SSE2 has no efficient int8 widening (needs SSE4.1) and no float trunc
+// (SSE4.1 round), so its q8 entries are the scalar ones — q8 results are
+// exact either way, the choice is pure speed.
 constexpr KernelTable kSse2Table{
-    gemm_nn_rows_sse2,   gemm_nt_rows_sse2,  gemm_tn_rows_sse2,
-    gemm_q8_rows_scalar, dw_forward_sse2,    dw_input_grad_sse2,
-    dw_weight_grad_sse2};
+    gemm_nn_rows_sse2,     gemm_nt_rows_sse2,     gemm_tn_rows_sse2,
+    gemm_q8_rows_scalar,   quantize_q8_rows_scalar, dw_forward_sse2,
+    dw_input_grad_sse2,    dw_weight_grad_sse2};
 constexpr KernelTable kAvx2Table{
-    gemm_nn_rows_avx2, gemm_nt_rows_avx2,  gemm_tn_rows_avx2,
-    gemm_q8_rows_avx2, dw_forward_avx2,    dw_input_grad_avx2,
-    dw_weight_grad_avx2};
+    gemm_nn_rows_avx2,     gemm_nt_rows_avx2,     gemm_tn_rows_avx2,
+    gemm_q8_rows_avx2,     quantize_q8_rows_avx2, dw_forward_avx2,
+    dw_input_grad_avx2,    dw_weight_grad_avx2};
 
 // -1 = not yet resolved.  Resolution is idempotent (env + cpuid are fixed),
 // so a racing first call is benign: both writers store the same value.

@@ -1,7 +1,8 @@
 // Internal: per-instruction-set kernel entry points.
 //
-// One symbol set per TU (gemm_{scalar,sse2,avx2}.cpp and
-// depthwise_{scalar,sse2,avx2}.cpp) so each can carry its own compile flags;
+// One symbol set per TU (gemm_{scalar,sse2,avx2}.cpp, which also hold the
+// q8 matmuls and the avx2 quantizer, quant.cpp with the scalar quantizer,
+// and depthwise_{scalar,sse2,avx2}.cpp) so each can carry its own compile flags;
 // dispatch.cpp assembles them into the public KernelTables.  On non-x86
 // targets the sse2/avx2 TUs compile as forwarders to the scalar kernels (and
 // cpuid reports them unsupported).
@@ -38,6 +39,12 @@ void gemm_q8_rows_scalar(std::size_t r0, std::size_t r1, std::size_t n,
                          std::size_t blocks, const std::int8_t* aq,
                          const float* as, const std::int8_t* bq,
                          const float* bs, float* c);
+
+void quantize_q8_rows_scalar(const float* src, std::size_t rows,
+                             std::size_t cols, std::int8_t* codes,
+                             float* scales);
+void quantize_q8_rows_avx2(const float* src, std::size_t rows,
+                           std::size_t cols, std::int8_t* codes, float* scales);
 
 void gemm_nn_rows_sse2(std::size_t r0, std::size_t r1, std::size_t m,
                        std::size_t n, std::size_t k, const float* a,

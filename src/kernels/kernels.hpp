@@ -1,8 +1,9 @@
 // Runtime-dispatched compute kernels.
 //
 // tdfm::kernels is a leaf library (no tdfm dependencies) holding the
-// hand-vectorized inner loops behind tensor/gemm.hpp, tensor/qgemm.hpp and
-// the depthwise convolution (nn::DepthwiseConv2D).
+// hand-vectorized inner loops behind tensor/gemm.hpp, tensor/qgemm.hpp, q8_0
+// quantization (kernels/quant.hpp) and the depthwise convolution
+// (nn::DepthwiseConv2D).
 // One implementation table exists per instruction set:
 //
 //   scalar  the reference: plain loops, vectorization and FP contraction
@@ -22,9 +23,10 @@
 // so results are bit-identical at any thread count.  Across kernel choices
 // results differ (FMA vs mul+add, reduction shape); the checker suite
 // (tests/kernels) quantifies those differences instead of assuming them
-// away.  The q8 kernel is the exception: its per-block integer dot is exact
-// and its float accumulation order is fixed, so q8 results are bit-identical
-// across *all* kernel choices.
+// away.  The q8 entries are the exception: quantization is elementwise exact
+// arithmetic under one explicit rounding rule, and the matmul's per-block
+// integer dot is exact with a fixed float accumulation order, so q8 results
+// are bit-identical across *all* kernel choices.
 //
 // The depthwise entries work on one [in_h, in_w] plane per call and slide the
 // k x k window directly, with no patch matrix.  Their forward pass and input
@@ -59,6 +61,13 @@ using GemmQ8RowsFn = void (*)(std::size_t r0, std::size_t r1, std::size_t n,
                               std::size_t blocks, const std::int8_t* aq,
                               const float* as, const std::int8_t* bq,
                               const float* bs, float* c);
+
+/// Quantizes `rows` x `cols` row-major floats to q8_0 (kernels/quant.hpp):
+/// per row, blocks = ceil(cols / 32) blocks of 32 codes in `codes` (tails
+/// zero-padded) and one scale per block in `scales`.
+using QuantizeQ8Fn = void (*)(const float* src, std::size_t rows,
+                              std::size_t cols, std::int8_t* codes,
+                              float* scales);
 
 /// One depthwise plane: a `kernel` x `kernel` filter slid over an
 /// [in_h, in_w] plane with step `stride` and `pad` zeros on every side (the
@@ -133,6 +142,7 @@ struct KernelTable {
   GemmRowsFn nt;
   GemmRowsFn tn;
   GemmQ8RowsFn q8_nt;
+  QuantizeQ8Fn quantize_q8;
   DwForwardFn dw_forward;
   DwInputGradFn dw_input_grad;
   DwWeightGradFn dw_weight_grad;

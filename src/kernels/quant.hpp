@@ -7,8 +7,22 @@
 // weight: 1 byte of code + 4/32 bytes of scale ≈ 1.125 bytes, a ~3.9x size
 // reduction (the "4x smaller replicas" of the serving layer).
 //
-// Quantization is deterministic: std::lround (round half away from zero,
-// independent of the FP environment) and a fixed block traversal order.
+// Quantization is deterministic and exact, one rule for every kernel table
+// (quantize_rows_q8 dispatches through KernelTable::quantize_q8; the plain
+// loop in quant.cpp is the scalar reference):
+//   - amax = max |v| over the block's elements, NaN elements ignored;
+//   - scale = amax / 127, inverse = 127 / amax (0 for an all-zero block);
+//   - code = v * inverse rounded half away from zero (std::lround's rule,
+//     independent of the FP environment), clamped to [-127, 127];
+//   - a scaled value that is not finite gets code -127.  That covers a NaN
+//     element; an Inf element (amax = Inf, so scale = +Inf and the inverse
+//     is 0: Inf * 0 is NaN, while the block's finite elements get 0); and
+//     every element of a block whose amax is so small that 127 / amax
+//     overflows.  (-127 is what the clamp made of glibc's lround result for
+//     such values, LONG_MIN, which C++ leaves unspecified; keeping it keeps
+//     every existing q8 output.)
+// Codes are never -128, but the matmul accepts the full int8 range (the
+// pipeline's weight-corruption drill writes arbitrary bytes).
 #pragma once
 
 #include <cstddef>

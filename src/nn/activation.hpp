@@ -13,7 +13,7 @@ class ReLU final : public Layer {
   [[nodiscard]] std::string name() const override { return "ReLU"; }
 
  private:
-  Tensor mask_;  ///< 1 where input > 0
+  Tensor mask_;  ///< 1 where input > 0 (training-mode forward only)
 };
 
 /// Hyperbolic tangent (used by the label-correction secondary model).
@@ -24,7 +24,7 @@ class Tanh final : public Layer {
   [[nodiscard]] std::string name() const override { return "Tanh"; }
 
  private:
-  Tensor output_;  ///< cached tanh(x); derivative is 1 - y^2
+  Tensor output_;  ///< cached tanh(x), derivative 1 - y^2 (training only)
 };
 
 }  // namespace tdfm::nn

@@ -19,13 +19,15 @@ BatchNorm2D::BatchNorm2D(std::size_t channels, float momentum, float eps)
 Tensor BatchNorm2D::forward(const Tensor& input, bool training) {
   TDFM_CHECK(input.rank() == 4 && input.dim(1) == channels_,
              "BatchNorm2D input shape mismatch");
-  input_shape_ = input.shape();
   const std::size_t batch = input.dim(0);
   const std::size_t plane = input.dim(2) * input.dim(3);
   const std::size_t per_ch = batch * plane;
   Tensor out(input.shape());
 
   if (!training) {
+    // Eval mode keeps no backward state (and drops a stale training cache).
+    normalized_ = Tensor();
+    batch_inv_std_ = Tensor();
     for (std::size_t c = 0; c < channels_; ++c) {
       const float inv_std = 1.0F / std::sqrt(running_var_[c] + eps_);
       const float g = gamma_.value[c], b = beta_.value[c], m = running_mean_[c];
@@ -76,10 +78,15 @@ Tensor BatchNorm2D::forward(const Tensor& input, bool training) {
 Tensor BatchNorm2D::backward(const Tensor& grad_output) {
   // Standard batch-norm adjoint:
   //   dx = (gamma * inv_std / m) * (m*dy - sum(dy) - x_hat * sum(dy*x_hat))
-  const std::size_t batch = input_shape_[0];
-  const std::size_t plane = input_shape_[2] * input_shape_[3];
+  TDFM_CHECK(normalized_.rank() == 4,
+             "BatchNorm2D: backward without a training-mode forward");
+  TDFM_CHECK(grad_output.shape() == normalized_.shape(),
+             "BatchNorm2D grad_output shape mismatch");
+  const Shape& shape = normalized_.shape();
+  const std::size_t batch = shape[0];
+  const std::size_t plane = shape[2] * shape[3];
   const auto m = static_cast<float>(batch * plane);
-  Tensor grad(input_shape_);
+  Tensor grad(shape);
   for (std::size_t c = 0; c < channels_; ++c) {
     float sum_dy = 0.0F;
     float sum_dy_xh = 0.0F;

@@ -29,10 +29,9 @@ class BatchNorm2D final : public Layer {
   Parameter beta_;   ///< per-channel shift, initialised to 0
   Tensor running_mean_;
   Tensor running_var_;
-  // Caches for backward (training mode only).
-  Tensor normalized_;   ///< x_hat
+  // Caches for backward (training mode only; empty after an eval forward).
+  Tensor normalized_;   ///< x_hat, shaped like the input
   Tensor batch_inv_std_;  ///< [C]
-  Shape input_shape_;
 };
 
 }  // namespace tdfm::nn

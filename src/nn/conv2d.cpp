@@ -28,7 +28,10 @@ namespace tdfm::nn {
 // grouped forward pass is bit-identical to per-image GEMMs at every kernel
 // table.  The gradients may round differently: the weight gradient's dot
 // products get longer, and the avx2 tn kernel rounds its tail columns
-// (mul, add) unlike its full vectors (FMA).
+// (mul, add) unlike its full vectors (FMA).  A quantized Conv2D groups the
+// same way, stacking the group's im2row patch rows into one q8 matrix for
+// one quantize + one int8 GEMM; q8 outputs depend only on their own weight
+// and patch rows, so that grouping is bit-identical at every table too.
 //
 // DepthwiseConv2D: the direct sliding-window kernels of the kernel table
 // (kernels/kernels.hpp), one plane per call — no patch matrix at all.
@@ -86,68 +89,72 @@ Conv2D::Conv2D(std::size_t in_c, std::size_t out_c, std::size_t in_h,
   he_normal(weight_.value, geom_.patch_rows(), rng);
 }
 
-Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
+Tensor Conv2D::forward(const Tensor& input, bool training) {
   TDFM_CHECK(input.rank() == 4 && input.dim(1) == geom_.in_c &&
                  input.dim(2) == geom_.in_h && input.dim(3) == geom_.in_w,
              "Conv2D input shape mismatch");
   const std::size_t batch = input.dim(0);
-  const std::size_t oh = geom_.out_h();
-  const std::size_t ow = geom_.out_w();
   const std::size_t pr = geom_.patch_rows();
   const std::size_t pc = geom_.patch_cols();
-  Tensor out(Shape{batch, out_c_, oh, ow});
+  Tensor out(Shape{batch, out_c_, geom_.out_h(), geom_.out_w()});
   const std::size_t in_stride = geom_.in_c * geom_.in_h * geom_.in_w;
-  const std::size_t out_stride = out_c_ * oh * ow;
+  const std::size_t out_stride = out_c_ * pc;
   count_conv(batch, 2 * out_c_ * pr * pc);
-  if (quantized_) {
-    // int8 path: unroll each image to one row per output pixel (tap order
-    // matching the weight rows), quantize those rows, and block-dot weight
-    // rows against patch rows — C[out_c, pc] lands directly in the output
-    // plane, no transpose.  Scratch is chunk-local; the nested parallel_for
-    // inside gemm_q8_nt runs inline on pool workers.
-    core::parallel_for(0, batch, unit_grain(batch), [&](std::size_t b0, std::size_t b1) {
-      std::vector<float> rows(pc * pr);
-      kernels::Q8Matrix qrows;
-      for (std::size_t b = b0; b < b1; ++b) {
-        im2row(geom_, input.data() + b * in_stride, rows.data());
-        kernels::quantize_rows_q8(rows.data(), pc, pr, qrows);
-        gemm_q8_nt(qweight_, qrows, out.data() + b * out_stride);
-        for (std::size_t oc = 0; oc < out_c_; ++oc) {
-          float* plane = out.data() + b * out_stride + oc * oh * ow;
-          const float bv = bias_.value[oc];
-          for (std::size_t i = 0; i < oh * ow; ++i) plane[i] += bv;
-        }
-      }
-    });
-    return out;
+  // Only a training-mode forward keeps the input for backward (copied into
+  // the cache's storage); an eval-mode one also drops a stale copy, so
+  // backward cannot pair with the wrong batch.
+  if (training && !quantized_) {
+    cached_input_ = input;
+  } else {
+    cached_input_ = Tensor();
   }
-  cached_input_ = input;
   const std::size_t group = group_images(pc);
   const std::size_t groups = (batch + group - 1) / group;
+  // A group's GEMM output C[out_c, images*pc] is its output planes side by
+  // side; copy them out adding the bias (in place when C is the one image's
+  // output).
+  const auto store_planes = [&](const float* c, std::size_t b0, std::size_t images) {
+    const std::size_t cols = images * pc;
+    for (std::size_t i = 0; i < images; ++i) {
+      for (std::size_t oc = 0; oc < out_c_; ++oc) {
+        const float* src = c + oc * cols + i * pc;
+        float* plane = out.data() + (b0 + i) * out_stride + oc * pc;
+        const float bv = bias_.value[oc];
+        for (std::size_t j = 0; j < pc; ++j) plane[j] = src[j] + bv;
+      }
+    }
+  };
   core::parallel_for(0, groups, unit_grain(groups), [&](std::size_t g0, std::size_t g1) {
-    // Chunk-local patch matrix; a group's GEMM output is staged only when it
-    // spans several images (one image's [out_c, pc] is its output plane).
-    std::vector<float> columns(pr * group * pc);
+    // Chunk-local scratch, reused by every group of the chunk; a group's
+    // GEMM output is staged only when it spans several images.
+    std::vector<float> patches(pr * group * pc);
     std::vector<float> staged(group > 1 ? out_c_ * group * pc : 0);
+    kernels::Q8Matrix qpatches;
     for (std::size_t gi = g0; gi < g1; ++gi) {
       const std::size_t b0 = gi * group;
       const std::size_t images = std::min(group, batch - b0);
       const std::size_t cols = images * pc;
-      for (std::size_t i = 0; i < images; ++i) {
-        im2col(geom_, input.data() + (b0 + i) * in_stride, columns.data(), cols,
-               i * pc);
-      }
-      // C[out_c, cols] = W[out_c, pr] * columns[pr, cols]
       float* c = group > 1 ? staged.data() : out.data() + b0 * out_stride;
-      gemm_nn(out_c_, cols, pr, weight_.value.data(), columns.data(), c);
-      for (std::size_t i = 0; i < images; ++i) {
-        for (std::size_t oc = 0; oc < out_c_; ++oc) {
-          const float* src = c + oc * cols + i * pc;
-          float* plane = out.data() + (b0 + i) * out_stride + oc * pc;
-          const float bv = bias_.value[oc];
-          for (std::size_t j = 0; j < pc; ++j) plane[j] = src[j] + bv;
+      if (quantized_) {
+        // int8: the images' patch rows (tap order matching the weight rows)
+        // stack into one [cols, pr] matrix, quantized row-wise; weight rows
+        // block-dot against it.  An output depends only on its weight row
+        // and its own patch row, so grouping changes no bit.
+        for (std::size_t i = 0; i < images; ++i) {
+          im2row(geom_, input.data() + (b0 + i) * in_stride,
+                 patches.data() + i * pc * pr);
         }
+        kernels::quantize_rows_q8(patches.data(), cols, pr, qpatches);
+        gemm_q8_nt(qweight_, qpatches, c);
+      } else {
+        for (std::size_t i = 0; i < images; ++i) {
+          im2col(geom_, input.data() + (b0 + i) * in_stride, patches.data(),
+                 cols, i * pc);
+        }
+        // C[out_c, cols] = W[out_c, pr] * columns[pr, cols]
+        gemm_nn(out_c_, cols, pr, weight_.value.data(), patches.data(), c);
       }
+      store_planes(c, b0, images);
     }
   });
   return out;
@@ -155,6 +162,8 @@ Tensor Conv2D::forward(const Tensor& input, bool /*training*/) {
 
 Tensor Conv2D::backward(const Tensor& grad_output) {
   TDFM_CHECK(!quantized_, "Conv2D: backward on a quantized (forward-only) layer");
+  TDFM_CHECK(cached_input_.rank() == 4,
+             "Conv2D: backward without a training-mode forward");
   const std::size_t batch = cached_input_.dim(0);
   const std::size_t oh = geom_.out_h();
   const std::size_t ow = geom_.out_w();
@@ -258,14 +267,18 @@ DepthwiseConv2D::DepthwiseConv2D(std::size_t channels, std::size_t in_h,
   he_normal(weight_.value, kernel * kernel, rng);
 }
 
-Tensor DepthwiseConv2D::forward(const Tensor& input, bool /*training*/) {
+Tensor DepthwiseConv2D::forward(const Tensor& input, bool training) {
   TDFM_CHECK(input.rank() == 4 && input.dim(1) == channels_ &&
                  input.dim(2) == geom_.in_h && input.dim(3) == geom_.in_w,
              "DepthwiseConv2D input shape mismatch");
   // Quantized mode is fake-quant (weights already rounded through q8_0 at
-  // quantize time), so the same fp32 loop serves both paths; only the
-  // activation cache for backward is skipped.
-  if (!quantized_) cached_input_ = input;
+  // quantize time), so the same fp32 loop serves both paths.  Only a
+  // training-mode forward keeps the input for backward.
+  if (training && !quantized_) {
+    cached_input_ = input;
+  } else {
+    cached_input_ = Tensor();
+  }
   const std::size_t batch = input.dim(0);
   const std::size_t pr = geom_.patch_rows();  // k*k (single channel)
   const std::size_t pc = geom_.patch_cols();
@@ -290,6 +303,8 @@ Tensor DepthwiseConv2D::forward(const Tensor& input, bool /*training*/) {
 Tensor DepthwiseConv2D::backward(const Tensor& grad_output) {
   TDFM_CHECK(!quantized_,
              "DepthwiseConv2D: backward on a quantized (forward-only) layer");
+  TDFM_CHECK(cached_input_.rank() == 4,
+             "DepthwiseConv2D: backward without a training-mode forward");
   const std::size_t batch = cached_input_.dim(0);
   const std::size_t pr = geom_.patch_rows();
   const std::size_t pc = geom_.patch_cols();

@@ -22,7 +22,8 @@ class Conv2D final : public Layer {
   Tensor backward(const Tensor& grad_output) override;
   std::vector<Parameter*> parameters() override { return {&weight_, &bias_}; }
   /// Quantizes the [out_c, C*k*k] weight rows to q8_0; forward then runs
-  /// im2row + quantize + int8 matmul per image.  Forward-only afterwards.
+  /// im2row + quantize + int8 matmul per image group (the fp32 grouping).
+  /// Forward-only afterwards.
   void quantize_for_inference() override;
   [[nodiscard]] std::vector<kernels::Q8Matrix*> quantized_weights() override {
     return quantized_ ? std::vector<kernels::Q8Matrix*>{&qweight_}
@@ -39,7 +40,7 @@ class Conv2D final : public Layer {
   std::size_t out_c_;
   Parameter weight_;  ///< [out_c, C*k*k]
   Parameter bias_;    ///< [out_c]
-  Tensor cached_input_;
+  Tensor cached_input_;  ///< training-mode forward input; empty otherwise
   /// Per-group dW/db contributions [groups, out_c*pr + out_c], filled in
   /// parallel and reduced in group order so gradients are
   /// thread-count-invariant.

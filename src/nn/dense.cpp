@@ -16,7 +16,7 @@ Dense::Dense(std::size_t in_features, std::size_t out_features, Rng& rng)
   // Bias stays zero-initialised.
 }
 
-Tensor Dense::forward(const Tensor& input, bool /*training*/) {
+Tensor Dense::forward(const Tensor& input, bool training) {
   TDFM_CHECK(input.rank() == 2 && input.dim(1) == in_,
              "Dense input must be [B, in_features]");
   const std::size_t batch = input.dim(0);
@@ -28,7 +28,12 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
     kernels::quantize_rows_q8(input.data(), batch, in_, qinput_);
     gemm_q8_nt(qinput_, qweight_, out.data());
   } else {
-    cached_input_ = input;
+    // Only a training-mode forward keeps the input for backward.
+    if (training) {
+      cached_input_ = input;
+    } else {
+      cached_input_ = Tensor();
+    }
     // out[B, out] = input[B, in] * W[out, in]^T
     gemm_nt(batch, out_, in_, input.data(), weight_.value.data(), out.data());
   }
@@ -42,6 +47,8 @@ Tensor Dense::forward(const Tensor& input, bool /*training*/) {
 
 Tensor Dense::backward(const Tensor& grad_output) {
   TDFM_CHECK(!quantized_, "Dense: backward on a quantized (forward-only) layer");
+  TDFM_CHECK(cached_input_.rank() == 2,
+             "Dense: backward without a training-mode forward");
   const std::size_t batch = cached_input_.dim(0);
   TDFM_CHECK(grad_output.rank() == 2 && grad_output.dim(0) == batch &&
                  grad_output.dim(1) == out_,

@@ -35,7 +35,8 @@ class Dense final : public Layer {
   std::size_t out_;
   Parameter weight_;
   Parameter bias_;
-  Tensor cached_input_;  ///< [B, in] saved by forward for the weight gradient
+  Tensor cached_input_;  ///< [B, in] saved by a training-mode forward for
+                         ///< the weight gradient; empty otherwise
   bool quantized_ = false;
   kernels::Q8Matrix qweight_;  ///< [out, in] q8_0 rows after quantization
   kernels::Q8Matrix qinput_;   ///< per-batch activation scratch (one

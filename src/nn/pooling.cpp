@@ -2,15 +2,17 @@
 
 namespace tdfm::nn {
 
-Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
+Tensor MaxPool2D::forward(const Tensor& input, bool training) {
   TDFM_CHECK(input.rank() == 4, "MaxPool2D expects [B, C, H, W]");
   const std::size_t batch = input.dim(0), ch = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   TDFM_CHECK(h % k_ == 0 && w % k_ == 0, "pooling needs divisible spatial dims");
   const std::size_t oh = h / k_, ow = w / k_;
-  input_shape_ = input.shape();
   Tensor out(Shape{batch, ch, oh, ow});
-  argmax_.assign(out.numel(), 0);
+  // Only a training-mode forward records the argmax for backward.
+  input_shape_ = training ? input.shape() : Shape{};
+  argmax_.assign(training ? out.numel() : 0, 0);
+  float* o = out.data();
   std::size_t oi = 0;
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t c = 0; c < ch; ++c) {
@@ -29,8 +31,8 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
               }
             }
           }
-          out[oi] = best;
-          argmax_[oi] = static_cast<std::uint32_t>(plane_base + best_idx);
+          o[oi] = best;
+          if (training) argmax_[oi] = static_cast<std::uint32_t>(plane_base + best_idx);
         }
       }
     }
@@ -39,6 +41,8 @@ Tensor MaxPool2D::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor MaxPool2D::backward(const Tensor& grad_output) {
+  TDFM_CHECK(input_shape_.rank() == 4,
+             "MaxPool2D: backward without a training-mode forward");
   TDFM_CHECK(grad_output.numel() == argmax_.size(), "MaxPool2D backward mismatch");
   Tensor grad(input_shape_);
   for (std::size_t i = 0; i < argmax_.size(); ++i) {

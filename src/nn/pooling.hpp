@@ -21,6 +21,7 @@ class MaxPool2D final : public Layer {
 
  private:
   std::size_t k_;
+  // Backward state, kept by a training-mode forward only.
   Shape input_shape_;
   std::vector<std::uint32_t> argmax_;  ///< flat input index of each output max
 };

@@ -45,7 +45,9 @@ void im2col(const ConvGeometry& g, const float* image, float* columns,
 /// [out_h*out_w, C*k*k] with taps ordered (c, ky, kx) — the same order as a
 /// Conv2D weight row — so quantized convolution can q8-quantize each patch
 /// row and dot it against quantized weight rows directly (tensor/qgemm.hpp),
-/// no transpose needed.  Out-of-bounds taps read as zero.
+/// no transpose needed.  Out-of-bounds taps read as zero.  The patch rows of
+/// consecutive images stack: image i of a group starts at row i*out_h*out_w
+/// (nn::Conv2D's grouped quantized forward).
 void im2row(const ConvGeometry& g, const float* image, float* rows_out);
 
 /// Adjoint of im2col: scatters the patch-matrix gradient back into the

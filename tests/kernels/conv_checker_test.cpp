@@ -11,7 +11,9 @@
 // Grouped Conv2D: images whose output plane is under 64 px share one GEMM.
 // The forward pass must be memcmp-equal to per-image GEMMs at every table;
 // gradients within tolerance of the per-image reference, and exactly equal
-// where the plane keeps the per-image path (>= 64 px).
+// where the plane keeps the per-image path (>= 64 px).  A quantized Conv2D
+// groups the same way (one im2row -> quantize -> q8 GEMM per group), and its
+// forward pass must be memcmp-equal to one image at a time.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -214,6 +216,39 @@ TEST(ConvChecker, GroupedConv2DMatchesPerImagePath) {
         EXPECT_TRUE(bit_equal(dw, ref_dw.data(), ref_dw.size())) << what;
         EXPECT_TRUE(bit_equal(db, ref_db.data(), ref_db.size())) << what;
         EXPECT_TRUE(bit_equal(gx.data(), ref_gx.data(), ref_gx.size())) << what;
+      }
+    }
+  }
+}
+
+TEST(ConvChecker, GroupedQuantizedConv2DMatchesPerImagePath) {
+  KernelGuard kernel_guard;
+  const ConvCase cases[] = {
+      {8, 8, 4, 1, 1, 0, 9},   // 1x1 on 4x4: groups of 4, the last one short
+      {6, 5, 2, 3, 1, 1, 17},  // 2x2 plane: a full group of 16 and a short one
+      {3, 4, 5, 3, 2, 1, 7},   // 3x3 output plane: groups of 8
+      {40, 9, 1, 1, 1, 0, 3},  // 1x1 plane, two q8 blocks per patch row
+      {4, 3, 8, 3, 1, 1, 3},   // 8x8 = 64 px: the per-image path
+  };
+  for (const ConvCase& cc : cases) {
+    const ConvGeometry cg{cc.in_c, cc.hw, cc.hw, cc.kernel, cc.stride, cc.pad};
+    const std::size_t in_stride = cc.in_c * cc.hw * cc.hw;
+    const std::size_t out_stride = cc.out_c * cg.patch_cols();
+    Rng rng(cc.in_c * 11 + cc.hw * 3 + cc.batch);
+    nn::Conv2D conv(cc.in_c, cc.out_c, cc.hw, cc.hw, cc.kernel, cc.stride, cc.pad, rng);
+    conv.quantize_for_inference();
+    Tensor x(Shape{cc.batch, cc.in_c, cc.hw, cc.hw});
+    for (float& v : x.flat()) v = rng.normal();
+    for (const kernels::KernelKind kind : kernels::supported_kernels()) {
+      kernels::set_active_kernel(kind);
+      const Tensor y = conv.forward(x, false);
+      for (std::size_t b = 0; b < cc.batch; ++b) {
+        Tensor xb(Shape{1, cc.in_c, cc.hw, cc.hw});
+        std::memcpy(xb.data(), x.data() + b * in_stride, in_stride * sizeof(float));
+        const Tensor yb = conv.forward(xb, false);
+        EXPECT_TRUE(bit_equal(y.data() + b * out_stride, yb.data(), out_stride))
+            << kernels::kernel_name(kind) << " " << cc.in_c << "->" << cc.out_c
+            << " plane " << cg.patch_cols() << " image " << b << " of " << cc.batch;
       }
     }
   }

@@ -1,15 +1,18 @@
 // Kernel checker: every dispatchable kernel vs the scalar reference.
 //
-// Covers the three fp32 GEMM variants, the im2col conv inner loop, and the
-// q8_0 quantized matmul, over degenerate shapes (m/n/k = 1, reduction
-// lengths straddling the 32-element q8 block size) plus randomized shapes.
-// Also pins the determinism contract from kernels/kernels.hpp: within one
-// kernel choice, results are bit-identical across row partitions and thread
-// counts; the q8 kernel is bit-identical across kernel choices too.
+// Covers the three fp32 GEMM variants, the im2col conv inner loop, q8_0
+// quantization and the q8_0 quantized matmul, over degenerate shapes
+// (m/n/k = 1, reduction lengths straddling the 32-element q8 block size)
+// plus randomized shapes, and im2row against im2col at every model-zoo conv
+// geometry.  Also pins the determinism contract from kernels/kernels.hpp: within
+// one kernel choice, results are bit-identical across row partitions and
+// thread counts; the q8 entries are bit-identical across kernel choices too.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "checker.hpp"
@@ -152,25 +155,49 @@ TEST(KernelChecker, ConvIm2colInnerLoopMatchesScalar) {
 
 TEST(KernelChecker, Im2rowIsIm2colTranspose) {
   // im2row feeds the quantized conv path; it must be exactly the transpose
-  // of im2col (same taps, (c, ky, kx) order along rows).
-  ConvGeometry g;
-  g.in_c = 2;
-  g.in_h = 7;
-  g.in_w = 9;
-  g.kernel = 3;
-  g.stride = 1;
-  g.pad = 1;
-  Rng rng(13);
-  const auto image = random_matrix(g.in_c * g.in_h * g.in_w, rng);
-  const std::size_t pr = g.patch_rows(), pc = g.patch_cols();
-  std::vector<float> columns(pr * pc), rows(pc * pr);
-  im2col(g, image.data(), columns.data());
-  im2row(g, image.data(), rows.data());
-  for (std::size_t r = 0; r < pr; ++r) {
-    for (std::size_t c = 0; c < pc; ++c) {
-      ASSERT_EQ(columns[r * pc + c], rows[c * pr + r])
-          << "tap " << r << ", pixel " << c;
+  // of im2col, the fp32 path's unrolling (same taps, (c, ky, kx) order along
+  // rows), with padding taps written as zeros over a poisoned buffer.
+  std::vector<ConvGeometry> cases;
+  // Every model-zoo conv geometry (models/model_zoo.cpp, nn/blocks.cpp):
+  // 3x3 pad 1 at stride 1 and 2, and 1x1 pad 0 at stride 1 and 2, on the
+  // 16/8/4/2/1-px planes the zoo's stages run at (channel counts at width 8).
+  for (const std::size_t hw : {16, 8, 4, 2, 1}) {
+    for (const std::size_t in_c : {3, 8, 16}) {
+      cases.push_back({in_c, hw, hw, 3, 1, 1});
+      cases.push_back({in_c, hw, hw, 1, 1, 0});
+      if (hw > 1) {
+        cases.push_back({in_c, hw, hw, 3, 2, 1});
+        cases.push_back({in_c, hw, hw, 1, 2, 0});
+      }
     }
+  }
+  // Non-square planes, stride 2 without padding, pad 0 at stride 1,
+  // pointwise with odd channel and plane counts, and filters larger than
+  // the plane.
+  cases.push_back({2, 7, 9, 3, 1, 1});
+  cases.push_back({2, 9, 7, 3, 2, 0});
+  cases.push_back({3, 6, 6, 3, 1, 0});
+  cases.push_back({19, 5, 5, 1, 1, 0});
+  cases.push_back({5, 3, 7, 1, 1, 0});
+  cases.push_back({2, 2, 2, 3, 1, 1});
+  cases.push_back({3, 3, 3, 5, 1, 2});
+  cases.push_back({2, 2, 3, 5, 2, 2});
+  cases.push_back({4, 1, 1, 3, 1, 1});
+  for (const ConvGeometry& g : cases) {
+    Rng rng(g.in_c * 131 + g.in_h * 17 + g.in_w + g.kernel * 7 + g.stride);
+    const auto image = random_matrix(g.in_c * g.in_h * g.in_w, rng);
+    const std::size_t pr = g.patch_rows(), pc = g.patch_cols();
+    std::vector<float> columns(pr * pc);
+    im2col(g, image.data(), columns.data());
+    std::vector<float> want(pc * pr);
+    for (std::size_t r = 0; r < pr; ++r) {
+      for (std::size_t c = 0; c < pc; ++c) want[c * pr + r] = columns[r * pc + c];
+    }
+    std::vector<float> rows(pc * pr, std::numeric_limits<float>::quiet_NaN());
+    im2row(g, image.data(), rows.data());
+    EXPECT_EQ(0, std::memcmp(rows.data(), want.data(), want.size() * sizeof(float)))
+        << "in_c " << g.in_c << " plane " << g.in_h << "x" << g.in_w << " k"
+        << g.kernel << " s" << g.stride << " p" << g.pad;
   }
 }
 
@@ -232,6 +259,155 @@ TEST(KernelChecker, QuantizedMatmulBitIdenticalAcrossKernelsAndThreads) {
                                  got.size() * sizeof(float)))
             << kernels::kernel_name(kind) << " threads=" << threads
             << " m=" << s.m << " n=" << s.n << " k=" << s.k;
+      }
+    }
+  }
+}
+
+/// One quantizer input: `rows` x `cols` floats.
+struct QuantCase {
+  std::string what;
+  std::size_t rows, cols;
+  std::vector<float> values;
+};
+
+/// Rows that exercise every branch of the q8 rule (kernels/quant.hpp).
+std::vector<QuantCase> quantize_cases() {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kDenorm = std::numeric_limits<float>::denorm_min();
+  std::vector<QuantCase> cases;
+  Rng rng(61);
+  // Random rows at every tail length 1..31, plus whole blocks.
+  for (std::size_t cols = 1; cols <= 100; ++cols) {
+    cases.push_back({"random", 3, cols, random_matrix(3 * cols, rng)});
+  }
+  // Exact ties: amax 127 makes the inverse 1 and amax 63.5 makes it 2, so
+  // k + 0.5 lands exactly halfway after scaling.
+  for (const float amax : {127.0F, 63.5F}) {
+    const float step = 127.0F / amax;
+    std::vector<float> ties;
+    for (int k = -127; k < 127; ++k) {
+      ties.push_back(amax);
+      ties.push_back((static_cast<float>(k) + 0.5F) / step);
+    }
+    cases.push_back({"ties", 1, ties.size(), ties});
+  }
+  // Signed zeros, alone and next to values.
+  cases.push_back({"zeros", 2, 35, std::vector<float>(70, -0.0F)});
+  {
+    std::vector<float> v(64, 0.0F);
+    for (std::size_t i = 0; i < v.size(); i += 2) v[i] = -0.0F;
+    v[7] = 1.5F;
+    v[40] = -2.0F;
+    cases.push_back({"signed zeros", 1, v.size(), v});
+  }
+  // Subnormals: an all-subnormal block (127 / amax overflows, so the rule
+  // gives -127 everywhere) and subnormals next to normal values.
+  {
+    std::vector<float> v(96);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      v[i] = kDenorm * static_cast<float>(i % 17) * (i % 2 == 0 ? 1.0F : -1.0F);
+    }
+    v[70] = 1e-30F;
+    cases.push_back({"subnormals", 1, v.size(), v});
+    v.assign(v.size(), 1e-38F);
+    v[3] = 2e-38F;
+    cases.push_back({"tiny normals", 2, 48, v});
+  }
+  // NaN and infinities, in full and tail blocks.
+  for (const float special : {kNaN, kInf, -kInf}) {
+    std::vector<float> v = random_matrix(3 * 45, rng);
+    v[0] = special;
+    v[44] = special;      // row 0's tail block
+    v[45 + 31] = special;  // row 1, last element of block 0
+    for (std::size_t i = 90; i < 135; ++i) v[i] = special;  // row 2: all
+    cases.push_back({"special " + std::to_string(special), 3, 45, v});
+  }
+  {
+    std::vector<float> v = random_matrix(64, rng);
+    v[1] = kNaN;
+    v[2] = kInf;
+    v[3] = -kInf;
+    v[33] = kNaN;
+    cases.push_back({"mixed specials", 1, 64, v});
+  }
+  return cases;
+}
+
+TEST(KernelChecker, QuantizeMatchesScalarReferenceBitForBit) {
+  const auto& ref_table = kernels::kernel_table(kernels::KernelKind::kScalar);
+  for (const QuantCase& qc : quantize_cases()) {
+    const std::size_t blocks = (qc.cols + kernels::kQ8Block - 1) / kernels::kQ8Block;
+    std::vector<std::int8_t> ref_codes(qc.rows * blocks * kernels::kQ8Block, 99);
+    std::vector<float> ref_scales(qc.rows * blocks, -1.0F);
+    ref_table.quantize_q8(qc.values.data(), qc.rows, qc.cols, ref_codes.data(),
+                          ref_scales.data());
+    for (const kernels::KernelKind kind : kernels::supported_kernels()) {
+      // Poisoned outputs: every code and scale must be written.
+      std::vector<std::int8_t> codes(ref_codes.size(), 77);
+      std::vector<float> scales(ref_scales.size(), -2.0F);
+      kernels::kernel_table(kind).quantize_q8(qc.values.data(), qc.rows, qc.cols,
+                                              codes.data(), scales.data());
+      const std::string what = std::string(kernels::kernel_name(kind)) + " " +
+                               qc.what + " " + std::to_string(qc.rows) + "x" +
+                               std::to_string(qc.cols);
+      EXPECT_EQ(0, std::memcmp(codes.data(), ref_codes.data(), codes.size()))
+          << "codes, " << what;
+      EXPECT_EQ(0, std::memcmp(scales.data(), ref_scales.data(),
+                               scales.size() * sizeof(float)))
+          << "scales, " << what;
+    }
+  }
+}
+
+/// A q8 operand whose codes cycle through all 256 int8 values (-128 too:
+/// quantization never writes it, the weight-corruption drill does).
+kernels::Q8Matrix every_code_matrix(std::size_t rows, std::size_t blocks,
+                                    std::size_t offset, Rng& rng) {
+  kernels::Q8Matrix q;
+  q.rows = rows;
+  q.cols = blocks * kernels::kQ8Block;
+  q.blocks_per_row = blocks;
+  q.data.resize(rows * q.cols);
+  q.scales.resize(rows * blocks);
+  for (std::size_t i = 0; i < q.data.size(); ++i) {
+    // 37 is odd, so any 256 consecutive entries hold every code once.
+    q.data[i] = static_cast<std::int8_t>(static_cast<std::uint8_t>((i * 37 + offset) & 0xFF));
+  }
+  for (std::size_t i = 0; i < q.scales.size(); ++i) q.scales[i] = rng.normal();
+  return q;
+}
+
+TEST(KernelChecker, QuantizedMatmulCoversEveryInt8Code) {
+  // Rows 1..9 and columns 1..15 hit every row tail (1..3) and column tail
+  // (1..7) of the avx2 kernel's 4-row x 8-column tiles, alone and after
+  // full tiles; 20 blocks span two of its 16-block runs.  Bit-identical to
+  // the scalar kernel at every table and thread count.
+  KernelGuard kernel_guard;
+  ThreadGuard thread_guard;
+  Rng rng(67);
+  for (const std::size_t blocks : {std::size_t{1}, std::size_t{8}, std::size_t{20}}) {
+    for (std::size_t m = 1; m <= 9; ++m) {
+      for (std::size_t n = 1; n <= 15; ++n) {
+        const kernels::Q8Matrix qa = every_code_matrix(m, blocks, 5 * n, rng);
+        const kernels::Q8Matrix qb = every_code_matrix(n, blocks, 3 * m + 1, rng);
+        std::vector<float> canonical(m * n);
+        kernels::kernel_table(kernels::KernelKind::kScalar)
+            .q8_nt(0, m, n, blocks, qa.data.data(), qa.scales.data(),
+                   qb.data.data(), qb.scales.data(), canonical.data());
+        for (const kernels::KernelKind kind : kernels::supported_kernels()) {
+          kernels::set_active_kernel(kind);
+          for (std::size_t threads = 1; threads <= 4; ++threads) {
+            core::ThreadPool::set_global_threads(threads);
+            std::vector<float> got(m * n, -1.0F);
+            gemm_q8_nt(qa, qb, got.data());
+            EXPECT_EQ(0, std::memcmp(canonical.data(), got.data(),
+                                     got.size() * sizeof(float)))
+                << kernels::kernel_name(kind) << " threads=" << threads
+                << " m=" << m << " n=" << n << " blocks=" << blocks;
+          }
+        }
       }
     }
   }

@@ -1,15 +1,21 @@
-// q8_0 quantization: numeric bounds, the quantized network path, and the
-// serving-layer integration (quantized replicas answer like a locally
-// quantized network, bit for bit).
+// q8_0 quantization: numeric bounds, the non-finite rule, the quantized
+// network path (pinned logits at every kernel table), and the serving-layer
+// integration (quantized replicas answer like a locally quantized network,
+// bit for bit).
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string_view>
 #include <vector>
 
+#include "checker.hpp"
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "core/varint.hpp"
+#include "kernels/kernels.hpp"
 #include "kernels/quant.hpp"
 #include "models/model_zoo.hpp"
 #include "nn/checkpoint.hpp"
@@ -76,6 +82,40 @@ TEST(Quant, ZeroBlockQuantizesToZero) {
   }
 }
 
+TEST(Quant, NonFiniteRuleIsTheSameAtEveryTable) {
+  // kernels/quant.hpp: NaN never raises amax and gets code -127; an Inf
+  // element makes the scale +Inf, its own code -127 and every finite code
+  // in the block 0.
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  std::vector<float> src(3 * kernels::kQ8Block, 0.25F);
+  src[0] = kNaN;  // block 0: amax 2 from src[1]
+  src[1] = 2.0F;
+  src[2] = -1.0F;  // -63.5 after scaling: half away from zero is -64
+  src[32] = kInf;  // block 1: +Inf and -Inf among finite values
+  src[33] = -kInf;
+  src[34] = -3.0F;
+  for (std::size_t t = 64; t < 96; ++t) src[t] = kNaN;  // block 2: all NaN
+  for (const kernels::KernelKind kind : kernels::supported_kernels()) {
+    const std::string what = kernels::kernel_name(kind);
+    std::vector<std::int8_t> q(src.size());
+    std::vector<float> scales(3);
+    kernels::kernel_table(kind).quantize_q8(src.data(), 1, src.size(), q.data(),
+                                            scales.data());
+    EXPECT_EQ(scales[0], 2.0F / 127.0F) << what;
+    EXPECT_EQ(q[0], -127) << what;
+    EXPECT_EQ(q[1], 127) << what;
+    EXPECT_EQ(q[2], -64) << what;
+    EXPECT_EQ(q[3], 16) << what;  // 0.25 * 63.5 = 15.875
+    EXPECT_EQ(scales[1], kInf) << what;
+    EXPECT_EQ(q[32], -127) << what;
+    EXPECT_EQ(q[33], -127) << what;
+    for (std::size_t t = 34; t < 64; ++t) EXPECT_EQ(q[t], 0) << what << " " << t;
+    EXPECT_EQ(scales[2], 0.0F) << what;  // NaN never raised amax above 0
+    for (std::size_t t = 64; t < 96; ++t) EXPECT_EQ(q[t], -127) << what << " " << t;
+  }
+}
+
 /// Builds a random batch of images matching the model config.
 Tensor random_batch(const models::ModelConfig& cfg, std::size_t batch,
                     Rng& rng) {
@@ -107,6 +147,60 @@ TEST(Quant, QuantizedNetworkLogitsStayClose) {
   // Relative L2 error of the logits: int8 weights and activations keep a
   // couple of decimal digits; 5% is far above normal, far below breakage.
   EXPECT_LT(std::sqrt(num / (den + 1e-12)), 0.05);
+}
+
+TEST(Quant, QuantizedLogitsMatchPinnedDigestsAtEveryTable) {
+  // FNV-1a 64 of the q8 logits of every model-zoo arch (width 4, 18 images,
+  // so small planes run several image groups), recorded before the
+  // vectorized quantizer, the blocked q8 kernel and the grouped quantized
+  // conv.  Only MobileNet differs by table: its depthwise layers stay fp32
+  // (fake-quant), and those kernels round per table.  BatchNorm's fp32
+  // arithmetic contracts into FMA in an -march=native build on an FMA host,
+  // where the digests were recorded; elsewhere only the BatchNorm-free
+  // archs are pinned.
+#if defined(__FMA__)
+  constexpr bool kPinBatchNormArchs = true;
+#else
+  constexpr bool kPinBatchNormArchs = false;
+#endif
+  struct Pinned {
+    models::Arch arch;
+    bool batchnorm;
+    std::uint64_t digest;       ///< scalar and sse2
+    std::uint64_t avx2_digest;
+  };
+  const Pinned pinned[] = {
+      {models::Arch::kConvNet, false, 0x044649f19d6f1743ULL, 0x044649f19d6f1743ULL},
+      {models::Arch::kDeconvNet, false, 0x6523ff01d8b06afdULL, 0x6523ff01d8b06afdULL},
+      {models::Arch::kVGG11, true, 0xc20da45c9dfea854ULL, 0xc20da45c9dfea854ULL},
+      {models::Arch::kVGG16, true, 0x504f3523025f45e9ULL, 0x504f3523025f45e9ULL},
+      {models::Arch::kResNet18, true, 0x374b306ab27f7a2bULL, 0x374b306ab27f7a2bULL},
+      {models::Arch::kResNet50, true, 0x00e54d4ac594a7afULL, 0x00e54d4ac594a7afULL},
+      {models::Arch::kMobileNet, true, 0x50845ecf0505223dULL, 0xbd928651c6fa5884ULL},
+  };
+  kernels_test::KernelGuard guard;
+  const auto archs = models::all_architectures();
+  ASSERT_EQ(archs.size(), std::size(pinned));
+  for (std::size_t a = 0; a < archs.size(); ++a) {
+    ASSERT_EQ(archs[a], pinned[a].arch);
+    if (pinned[a].batchnorm && !kPinBatchNormArchs) continue;
+    models::ModelConfig cfg;
+    cfg.width = 4;
+    Rng rng(700 + a);
+    auto net = models::build_model(archs[a], cfg, rng);
+    net->quantize_for_inference();
+    Rng data_rng(800 + a);
+    const Tensor batch = random_batch(cfg, 18, data_rng);
+    for (const kernels::KernelKind kind : kernels::supported_kernels()) {
+      kernels::set_active_kernel(kind);
+      const Tensor logits = net->logits(batch, /*training=*/false);
+      const std::uint64_t digest = core::fnv1a64(std::string_view(
+          reinterpret_cast<const char*>(logits.data()), logits.numel() * sizeof(float)));
+      EXPECT_EQ(digest, kind == kernels::KernelKind::kAvx2 ? pinned[a].avx2_digest
+                                                           : pinned[a].digest)
+          << models::arch_name(archs[a]) << " at " << kernels::kernel_name(kind);
+    }
+  }
 }
 
 TEST(Quant, QuantizedNetworkRefusesBackward) {

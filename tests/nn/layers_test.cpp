@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "../test_util.hpp"
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
@@ -14,6 +16,20 @@ namespace tdfm::nn {
 namespace {
 
 using test::random_tensor;
+
+/// An eval-mode forward computes the training-mode output bit for bit but
+/// keeps no backward state: it also drops the cache a training-mode forward
+/// left, so a later backward throws instead of pairing with a stale batch.
+void expect_eval_forward_keeps_no_state(Layer& layer, const Tensor& x,
+                                        const Tensor& grad) {
+  const Tensor y_train = layer.forward(x, true);
+  EXPECT_NO_THROW((void)layer.backward(grad));
+  const Tensor y_eval = layer.forward(x, false);
+  ASSERT_EQ(y_eval.shape(), y_train.shape());
+  EXPECT_EQ(0, std::memcmp(y_eval.data(), y_train.data(),
+                           y_eval.numel() * sizeof(float)));
+  EXPECT_THROW((void)layer.backward(grad), InvariantError);
+}
 
 TEST(Dense, OutputShapeAndBias) {
   Rng rng(300);
@@ -222,6 +238,76 @@ TEST(BatchNorm, InferenceUsesRunningStats) {
   const Tensor y = bn.forward(probe, false);
   // 5.0 is the approximate running mean -> output near zero.
   EXPECT_NEAR(y[0], 0.0F, 0.3F);
+}
+
+TEST(Dense, EvalForwardKeepsNoBackwardState) {
+  Rng rng(320);
+  Dense layer(6, 3, rng);
+  expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{4, 6}, rng),
+                                     random_tensor(Shape{4, 3}, rng));
+}
+
+TEST(Conv2D, EvalForwardKeepsNoBackwardState) {
+  Rng rng(321);
+  Conv2D layer(2, 3, 5, 5, 3, 1, 1, rng);
+  expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{2, 2, 5, 5}, rng),
+                                     random_tensor(Shape{2, 3, 5, 5}, rng));
+}
+
+TEST(DepthwiseConv2D, EvalForwardKeepsNoBackwardState) {
+  Rng rng(322);
+  DepthwiseConv2D layer(3, 6, 6, 3, 2, 1, rng);
+  expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{2, 3, 6, 6}, rng),
+                                     random_tensor(Shape{2, 3, 3, 3}, rng));
+}
+
+TEST(ReLU, EvalForwardKeepsNoBackwardState) {
+  Rng rng(323);
+  ReLU layer;
+  expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{3, 7}, rng),
+                                     random_tensor(Shape{3, 7}, rng));
+}
+
+TEST(Tanh, EvalForwardKeepsNoBackwardState) {
+  Rng rng(324);
+  Tanh layer;
+  expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{3, 7}, rng),
+                                     random_tensor(Shape{3, 7}, rng));
+}
+
+TEST(MaxPool, EvalForwardKeepsNoBackwardState) {
+  Rng rng(325);
+  MaxPool2D layer(2);
+  expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{2, 3, 4, 4}, rng),
+                                     random_tensor(Shape{2, 3, 2, 2}, rng));
+}
+
+TEST(BatchNorm, EvalForwardKeepsNoBackwardState) {
+  // Eval mode normalises with the running statistics, so its output is not
+  // the training-mode one; it must still drop the training cache.  Before,
+  // backward after an eval forward on a larger batch read past the smaller
+  // training batch's cache.
+  Rng rng(326);
+  BatchNorm2D bn(3);
+  const Tensor small = random_tensor(Shape{2, 3, 4, 4}, rng);
+  const Tensor large = random_tensor(Shape{8, 3, 4, 4}, rng);
+  (void)bn.forward(small, true);
+  EXPECT_NO_THROW((void)bn.backward(random_tensor(Shape{2, 3, 4, 4}, rng)));
+  (void)bn.forward(small, true);
+  const Tensor y = bn.forward(large, false);
+  EXPECT_EQ(y.shape(), large.shape());
+  EXPECT_THROW((void)bn.backward(random_tensor(Shape{8, 3, 4, 4}, rng)),
+               InvariantError);
+}
+
+TEST(BatchNorm, BackwardChecksGradientShape) {
+  Rng rng(327);
+  BatchNorm2D bn(3);
+  (void)bn.forward(random_tensor(Shape{2, 3, 4, 4}, rng), true);
+  EXPECT_THROW((void)bn.backward(random_tensor(Shape{8, 3, 4, 4}, rng)),
+               InvariantError);
+  EXPECT_THROW((void)bn.backward(random_tensor(Shape{2, 3, 2, 2}, rng)),
+               InvariantError);
 }
 
 TEST(Sequential, ComposesAndExposesParameters) {
