@@ -81,6 +81,86 @@ void nn_tile(std::size_t i0, std::size_t n, std::size_t k, const float* a,
   }
 }
 
+// Rows [i0, i1) of gemm_tn, p outermost: each C row is an FMA chain over the
+// full vectors and a mul-then-add chain over the tail columns, in p order,
+// and an A element of exactly zero skips its whole row (ReLU-sparse
+// gradients; it also keeps a zero from multiplying an Inf or NaN of B).
+void tn_rows_p_outer(std::size_t i0, std::size_t i1, std::size_t m,
+                     std::size_t n, std::size_t k, const float* a,
+                     const float* b, float* c, bool accumulate) {
+  if (!accumulate) std::memset(c + i0 * n, 0, (i1 - i0) * n * sizeof(float));
+  for (std::size_t p = 0; p < k; ++p) {
+    const float* arow = a + p * m;
+    const float* brow = b + p * n;
+    for (std::size_t i = i0; i < i1; ++i) {
+      const float av = arow[i];
+      if (av == 0.0F) continue;
+      float* crow = c + i * n;
+      const __m256 avv = _mm256_set1_ps(av);
+      std::size_t j = 0;
+      for (; j + 8 <= n; j += 8) {
+        const __m256 cv = _mm256_loadu_ps(crow + j);
+        _mm256_storeu_ps(crow + j,
+                         _mm256_fmadd_ps(avv, _mm256_loadu_ps(brow + j), cv));
+      }
+      for (; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// Rows i0..i0+R-1 of gemm_tn as an R x 8 register tile like nn_tile, reading
+// A down its columns (A[p, i0 + r] sits at a + p*m + i0 + r).  Every element
+// repeats tn_rows_p_outer's chain: FMA in p order in full vectors, mul then
+// add in the masked tail.  Only the zero skip is missing, so a tile whose A
+// slice holds an exact zero runs tn_rows_p_outer instead.  Either way an
+// element's bits depend only on its own row of A, not on the tile around it.
+template <int R>
+void tn_tile(std::size_t i0, std::size_t m, std::size_t n, std::size_t k,
+             const float* a, const float* b, float* c, bool accumulate) {
+  for (std::size_t p = 0; p < k; ++p) {
+    for (int r = 0; r < R; ++r) {
+      if (a[p * m + i0 + r] == 0.0F) {
+        tn_rows_p_outer(i0, i0 + R, m, n, k, a, b, c, accumulate);
+        return;
+      }
+    }
+  }
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    __m256 acc[R];
+    for (int r = 0; r < R; ++r) {
+      acc[r] = accumulate ? _mm256_loadu_ps(c + (i0 + r) * n + j)
+                          : _mm256_setzero_ps();
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      const __m256 bv = _mm256_loadu_ps(b + p * n + j);
+      for (int r = 0; r < R; ++r) {
+        acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + p * m + i0 + r), bv,
+                                 acc[r]);
+      }
+    }
+    for (int r = 0; r < R; ++r) _mm256_storeu_ps(c + (i0 + r) * n + j, acc[r]);
+  }
+  if (j < n) {
+    const __m256i mask = tail_mask(n - j);
+    __m256 acc[R];
+    for (int r = 0; r < R; ++r) {
+      acc[r] = accumulate ? _mm256_maskload_ps(c + (i0 + r) * n + j, mask)
+                          : _mm256_setzero_ps();
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      const __m256 bv = _mm256_maskload_ps(b + p * n + j, mask);
+      for (int r = 0; r < R; ++r) {
+        acc[r] = _mm256_add_ps(
+            acc[r], _mm256_mul_ps(_mm256_broadcast_ss(a + p * m + i0 + r), bv));
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      _mm256_maskstore_ps(c + (i0 + r) * n + j, mask, acc[r]);
+    }
+  }
+}
+
 inline float hsum256(__m256 v) {
   const __m128 lo = _mm256_castps256_ps128(v);
   const __m128 hi = _mm256_extractf128_ps(v, 1);
@@ -344,23 +424,17 @@ void gemm_nt_rows_avx2(std::size_t r0, std::size_t r1, std::size_t /*m*/,
 void gemm_tn_rows_avx2(std::size_t r0, std::size_t r1, std::size_t m,
                        std::size_t n, std::size_t k, const float* a,
                        const float* b, float* c, bool accumulate) {
-  if (!accumulate) std::memset(c + r0 * n, 0, (r1 - r0) * n * sizeof(float));
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* arow = a + p * m;
-    const float* brow = b + p * n;
-    for (std::size_t i = r0; i < r1; ++i) {
-      const float av = arow[i];
-      if (av == 0.0F) continue;  // ReLU-sparse activations skip whole rows
-      float* crow = c + i * n;
-      const __m256 avv = _mm256_set1_ps(av);
-      std::size_t j = 0;
-      for (; j + 8 <= n; j += 8) {
-        const __m256 cv = _mm256_loadu_ps(crow + j);
-        _mm256_storeu_ps(crow + j,
-                         _mm256_fmadd_ps(avv, _mm256_loadu_ps(brow + j), cv));
-      }
-      for (; j < n; ++j) crow[j] += av * brow[j];
-    }
+  std::size_t i = r0;
+  for (; i + 8 <= r1; i += 8) tn_tile<8>(i, m, n, k, a, b, c, accumulate);
+  switch (r1 - i) {
+    case 7: tn_tile<7>(i, m, n, k, a, b, c, accumulate); break;
+    case 6: tn_tile<6>(i, m, n, k, a, b, c, accumulate); break;
+    case 5: tn_tile<5>(i, m, n, k, a, b, c, accumulate); break;
+    case 4: tn_tile<4>(i, m, n, k, a, b, c, accumulate); break;
+    case 3: tn_tile<3>(i, m, n, k, a, b, c, accumulate); break;
+    case 2: tn_tile<2>(i, m, n, k, a, b, c, accumulate); break;
+    case 1: tn_tile<1>(i, m, n, k, a, b, c, accumulate); break;
+    default: break;
   }
 }
 

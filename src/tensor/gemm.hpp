@@ -12,10 +12,13 @@
 //
 // Layout convention: row-major, C[m x n] = A (op) * B (op) with the
 // transpose baked into the kernel name rather than runtime flags, because
-// each backprop call site statically knows which operand is transposed:
-//   gemm_nn:  C += A[m x k]   * B[k x n]    (forward pass)
-//   gemm_nt:  C += A[m x k]   * B[n x k]^T  (input gradients)
-//   gemm_tn:  C += A[k x m]^T * B[k x n]    (weight gradients)
+// each call site statically knows which operand is transposed:
+//   gemm_nn:  C += A[m x k]   * B[k x n]    (Conv2D forward, Dense input
+//                                            gradient)
+//   gemm_nt:  C += A[m x k]   * B[n x k]^T  (Dense forward, Conv2D weight
+//                                            gradient)
+//   gemm_tn:  C += A[k x m]^T * B[k x n]    (Conv2D input gradient, Dense
+//                                            weight gradient)
 #pragma once
 
 #include <cstddef>

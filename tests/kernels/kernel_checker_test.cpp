@@ -4,9 +4,11 @@
 // quantization and the q8_0 quantized matmul, over degenerate shapes
 // (m/n/k = 1, reduction lengths straddling the 32-element q8 block size)
 // plus randomized shapes, and im2row against im2col at every model-zoo conv
-// geometry.  Also pins the determinism contract from kernels/kernels.hpp: within
-// one kernel choice, results are bit-identical across row partitions and
-// thread counts; the q8 entries are bit-identical across kernel choices too.
+// geometry.  Each table's tn entry is also held bit for bit to the loop it
+// replaced (tn_parent_loops.hpp).  Also pins the determinism contract from
+// kernels/kernels.hpp: within one kernel choice, results are bit-identical
+// across row partitions and thread counts; the q8 entries are bit-identical
+// across kernel choices too.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -23,6 +25,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/qgemm.hpp"
+#include "tn_parent_loops.hpp"
 
 namespace tdfm {
 namespace {
@@ -122,6 +125,113 @@ TEST(KernelChecker, RowPartitionIsBitIdentical) {
   }
 }
 
+/// The parent loop of `kind`'s tn entry (tn_parent_loops.hpp).
+kernels::GemmRowsFn tn_parent(kernels::KernelKind kind) {
+  switch (kind) {
+    case kernels::KernelKind::kScalar: return kernels_test::tn_parent_scalar;
+    case kernels::KernelKind::kSse2: return kernels_test::tn_parent_sse2;
+    default: return kernels_test::tn_parent_avx2;
+  }
+}
+
+/// Runs every table's tn entry and its parent loop on the same operands,
+/// accumulate off and on, and compares C plus 8 guard floats past its end
+/// with memcmp.
+void expect_tn_matches_parent(std::size_t m, std::size_t n, std::size_t k,
+                              const float* a, const float* b, const float* c0,
+                              const std::string& what) {
+  for (const kernels::KernelKind kind : kernels::supported_kernels()) {
+    for (const bool accumulate : {false, true}) {
+      std::vector<float> got(c0, c0 + m * n);
+      got.resize(m * n + 8, std::numeric_limits<float>::quiet_NaN());
+      std::vector<float> want = got;
+      kernels::kernel_table(kind).tn(0, m, m, n, k, a, b, got.data(), accumulate);
+      tn_parent(kind)(0, m, m, n, k, a, b, want.data(), accumulate);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+          << kernels::kernel_name(kind) << (accumulate ? " +acc " : " ") << what
+          << " m=" << m << " n=" << n << " k=" << k;
+    }
+  }
+}
+
+TEST(KernelChecker, TnMatchesParentLoopBitForBit) {
+  // The avx2 tn entry is a register-blocked 8-row tile; every element must
+  // keep the parent p-outer loop's chain (FMA over full vectors, mul then
+  // add in tail columns, zero A elements skipped), so the tile is checked
+  // bit for bit against that loop.  Rows 1..17 reach every row tail alone
+  // and after full tiles, columns 1..33 every n % 8.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(71);
+  const auto pool_a = random_matrix(40 * 17, rng);
+  const auto pool_b = random_matrix(40 * 33, rng);
+  const auto pool_c = random_matrix(17 * 33, rng);
+  for (std::size_t m = 1; m <= 17; ++m) {
+    for (std::size_t n = 1; n <= 33; ++n) {
+      for (std::size_t k = 1; k <= 40; ++k) {
+        std::vector<float> a(pool_a.begin(), pool_a.begin() + static_cast<std::ptrdiff_t>(k * m));
+        expect_tn_matches_parent(m, n, k, a.data(), pool_b.data(), pool_c.data(), "dense");
+        // Signed zeros in the first row (a tile row once m >= 8), the middle
+        // row and the last row (a tail row unless m % 8 == 0).
+        for (const std::size_t i : {std::size_t{0}, m / 2, m - 1}) {
+          a[(i * 7 % k) * m + i] = i % 2 == 0 ? 0.0F : -0.0F;
+        }
+        expect_tn_matches_parent(m, n, k, a.data(), pool_b.data(), pool_c.data(), "zeros");
+      }
+    }
+  }
+  // The zoo's Conv2D input-gradient shapes (pr x cols x out_c at width 8):
+  // dense weights, then a few zero weights.
+  for (const GemmShape& s : {GemmShape{72, 256, 16}, GemmShape{144, 64, 16},
+                             GemmShape{27, 256, 8}}) {
+    auto a = random_matrix(s.k * s.m, rng);
+    const auto b = random_matrix(s.k * s.n, rng);
+    const auto c0 = random_matrix(s.m * s.n, rng);
+    expect_tn_matches_parent(s.m, s.n, s.k, a.data(), b.data(), c0.data(), "zoo");
+    a[3 * s.m + 5] = 0.0F;
+    a[(s.k - 1) * s.m + s.m - 1] = -0.0F;
+    expect_tn_matches_parent(s.m, s.n, s.k, a.data(), b.data(), c0.data(), "zoo zeros");
+  }
+  // Infinities and NaN in B rows where A holds zeros: a skipped element
+  // never multiplies them, the other rows of the same tiles do.  13 rows are
+  // one full tile and a 5-row tail, 21 columns two vectors and a 5-lane tail.
+  {
+    const std::size_t m = 13, n = 21, k = 9;
+    auto a = random_matrix(k * m, rng);
+    auto b = random_matrix(k * n, rng);
+    const auto c0 = random_matrix(m * n, rng);
+    a[2 * m + 1] = 0.0F;    // tile row
+    a[5 * m + 11] = -0.0F;  // tail row
+    a[7 * m + 4] = 0.0F;
+    a[7 * m + 12] = -0.0F;
+    for (const std::size_t p : {std::size_t{2}, std::size_t{5}, std::size_t{7}}) {
+      b[p * n + 0] = kInf;
+      b[p * n + 8] = -kInf;
+      b[p * n + 20] = kNaN;
+      b[p * n + (3 * p) % n] = p == 5 ? -kInf : kNaN;
+    }
+    expect_tn_matches_parent(m, n, k, a.data(), b.data(), c0.data(), "specials");
+    // The same with every A element of rows 1, 4, 11 and 12 zero.
+    for (std::size_t p = 0; p < k; ++p) {
+      for (const std::size_t i : {1, 4, 11, 12}) a[p * m + i] = p % 2 == 0 ? 0.0F : -0.0F;
+    }
+    expect_tn_matches_parent(m, n, k, a.data(), b.data(), c0.data(), "zero rows");
+  }
+  // Products that underflow to -0 (or +0) onto a C of -0: the FMA chain,
+  // the mul-then-add tail and the zero skip each leave their own sign.
+  {
+    const std::size_t m = 11, n = 19, k = 6;
+    std::vector<float> a(k * m), b(k * n);
+    for (std::size_t i = 0; i < a.size(); ++i) a[i] = i % 3 == 0 ? 1e-30F : -1e-30F;
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = i % 5 == 0 ? -1e-30F : 1e-30F;
+    const std::vector<float> c0(m * n, -0.0F);
+    expect_tn_matches_parent(m, n, k, a.data(), b.data(), c0.data(), "underflow");
+    a[4 * m + 2] = 0.0F;
+    a[1 * m + 9] = -0.0F;
+    expect_tn_matches_parent(m, n, k, a.data(), b.data(), c0.data(), "underflow zeros");
+  }
+}
+
 TEST(KernelChecker, ConvIm2colInnerLoopMatchesScalar) {
   // The conv forward path is im2col followed by a [out_c, C*k*k] x
   // [C*k*k, oh*ow] nn GEMM; check that GEMM across kernels on real patch
@@ -204,30 +314,35 @@ TEST(KernelChecker, Im2rowIsIm2colTranspose) {
 TEST(KernelChecker, DispatchedGemmBitIdenticalAcrossThreadCounts) {
   // The threaded entry points (tensor/gemm.hpp) chunk rows across the pool;
   // within one kernel choice the result must not depend on the chunking.
+  // Besides a generic shape, the zoo's Conv2D input-gradient shapes, which
+  // the avx2 tn kernel splits into 8-row tiles at any row partition.
   KernelGuard kernel_guard;
   ThreadGuard thread_guard;
-  const GemmShape s{33, 29, 77};
-  Rng rng(17);
-  const auto a = random_matrix(s.m * s.k, rng);
-  const auto b = random_matrix(s.k * s.n, rng);
-  for (const kernels::KernelKind kind : kernels::supported_kernels()) {
-    kernels::set_active_kernel(kind);
-    std::vector<std::vector<float>> by_threads;
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      core::ThreadPool::set_global_threads(threads);
-      std::vector<float> nn(s.m * s.n), nt(s.m * s.n), tn(s.m * s.n);
-      gemm_nn(s.m, s.n, s.k, a.data(), b.data(), nn.data());
-      gemm_nt(s.m, s.n, s.k, a.data(), b.data(), nt.data());
-      gemm_tn(s.m, s.n, s.k, a.data(), b.data(), tn.data());
-      std::vector<float> all;
-      all.insert(all.end(), nn.begin(), nn.end());
-      all.insert(all.end(), nt.begin(), nt.end());
-      all.insert(all.end(), tn.begin(), tn.end());
-      by_threads.push_back(std::move(all));
+  for (const GemmShape& s : {GemmShape{33, 29, 77}, GemmShape{72, 256, 16},
+                             GemmShape{144, 64, 16}, GemmShape{27, 256, 8}}) {
+    Rng rng(17 + s.m);
+    const auto a = random_matrix(s.m * s.k, rng);
+    const auto b = random_matrix(s.k * s.n, rng);
+    for (const kernels::KernelKind kind : kernels::supported_kernels()) {
+      kernels::set_active_kernel(kind);
+      std::vector<std::vector<float>> by_threads;
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        core::ThreadPool::set_global_threads(threads);
+        std::vector<float> nn(s.m * s.n), nt(s.m * s.n), tn(s.m * s.n);
+        gemm_nn(s.m, s.n, s.k, a.data(), b.data(), nn.data());
+        gemm_nt(s.m, s.n, s.k, a.data(), b.data(), nt.data());
+        gemm_tn(s.m, s.n, s.k, a.data(), b.data(), tn.data());
+        std::vector<float> all;
+        all.insert(all.end(), nn.begin(), nn.end());
+        all.insert(all.end(), nt.begin(), nt.end());
+        all.insert(all.end(), tn.begin(), tn.end());
+        by_threads.push_back(std::move(all));
+      }
+      EXPECT_EQ(0, std::memcmp(by_threads[0].data(), by_threads[1].data(),
+                               by_threads[0].size() * sizeof(float)))
+          << kernels::kernel_name(kind) << ": 1 vs 4 threads, m=" << s.m
+          << " n=" << s.n << " k=" << s.k;
     }
-    EXPECT_EQ(0, std::memcmp(by_threads[0].data(), by_threads[1].data(),
-                             by_threads[0].size() * sizeof(float)))
-        << kernels::kernel_name(kind) << ": 1 vs 4 threads";
   }
 }
 

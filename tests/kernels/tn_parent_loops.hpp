@@ -1,0 +1,21 @@
+// Copies of each kernel table's gemm_tn loop as it stood before the avx2
+// entry became a register-blocked tile: the oracle of
+// KernelChecker.TnMatchesParentLoopBitForBit.  tn_parent_loops.cpp carries
+// the kernel TUs' determinism flags (tests/CMakeLists.txt).
+#pragma once
+
+#include <cstddef>
+
+namespace tdfm::kernels_test {
+
+void tn_parent_scalar(std::size_t r0, std::size_t r1, std::size_t m,
+                      std::size_t n, std::size_t k, const float* a,
+                      const float* b, float* c, bool accumulate);
+void tn_parent_sse2(std::size_t r0, std::size_t r1, std::size_t m,
+                    std::size_t n, std::size_t k, const float* a,
+                    const float* b, float* c, bool accumulate);
+void tn_parent_avx2(std::size_t r0, std::size_t r1, std::size_t m,
+                    std::size_t n, std::size_t k, const float* a,
+                    const float* b, float* c, bool accumulate);
+
+}  // namespace tdfm::kernels_test

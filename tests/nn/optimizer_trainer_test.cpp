@@ -1,6 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include "../kernels/checker.hpp"
 #include "../test_util.hpp"
+#include "core/varint.hpp"
+#include "kernels/kernels.hpp"
+#include "models/model_zoo.hpp"
 #include "nn/activation.hpp"
 #include "nn/dense.hpp"
 #include "nn/loss.hpp"
@@ -235,6 +242,63 @@ TEST(Trainer, DeterministicGivenSameSeeds) {
     return net.save_weights();
   };
   EXPECT_EQ(run(), run());
+}
+
+TEST(Train, ConvNetWeightsMatchPinnedDigestsAtEveryTable) {
+  // FNV-1a 64 of ConvNet width-8 weights after 2 epochs (the zoo's tuned
+  // Adam) on 64 fixed images, recorded before the register-blocked avx2 tn
+  // kernel and the block-copy im2col/col2im.  Every decision log and report
+  // digest is only compared run against run, so this is what fails when a
+  // training kernel drifts by one ulp.  The trainer, Adam and the layers'
+  // own fp32 loops contract into FMA in an -march=native build on an FMA
+  // host, where the digests were recorded; elsewhere nothing is pinned.
+#if !defined(__FMA__)
+  GTEST_SKIP() << "digests are pinned for the FMA-contraction build only";
+#endif
+  struct Pinned {
+    kernels::KernelKind kind;
+    std::uint64_t digest;
+  };
+  const Pinned pinned[] = {
+      {kernels::KernelKind::kScalar, 0xa9ad598d8230a29aULL},
+      {kernels::KernelKind::kSse2, 0x477d6d2920e467d3ULL},
+      {kernels::KernelKind::kAvx2, 0x02c035440f45fff6ULL},
+  };
+  kernels_test::KernelGuard guard;
+  models::ModelConfig cfg;
+  cfg.width = 8;
+  Rng data_rng(61);
+  const std::size_t n = 64;
+  const Tensor images = test::random_tensor(
+      Shape{n, cfg.in_channels, cfg.image_size, cfg.image_size}, data_rng);
+  std::vector<int> labels(n);
+  for (std::size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(i % cfg.num_classes);
+  const Tensor targets = one_hot(labels, cfg.num_classes);
+  for (const Pinned& p : pinned) {
+    if (!kernels::kernel_supported(p.kind)) continue;
+    kernels::set_active_kernel(p.kind);
+    Rng rng(62);
+    auto net = models::build_model(models::Arch::kConvNet, cfg, rng);
+    TrainOptions opts;
+    opts.epochs = 2;
+    Trainer trainer(models::tuned_options(models::Arch::kConvNet, opts));
+    CrossEntropyLoss ce;
+    Rng fit_rng(63);
+    trainer.fit(
+        *net, images,
+        [&](const Tensor& logits, std::span<const std::size_t> idx, Tensor& grad) {
+          return ce.compute(logits, Trainer::gather(targets, idx), grad);
+        },
+        fit_rng);
+    std::string bytes;
+    for (const Parameter* param : net->parameters()) {
+      bytes.append(reinterpret_cast<const char*>(param->value.data()),
+                   param->value.numel() * sizeof(float));
+    }
+    const std::uint64_t digest = core::fnv1a64(bytes);
+    EXPECT_EQ(digest, p.digest) << kernels::kernel_name(p.kind) << std::hex
+                                << " digest 0x" << digest;
+  }
 }
 
 TEST(Network, SaveLoadRoundTrip) {

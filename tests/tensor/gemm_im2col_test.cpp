@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "core/rng.hpp"
 #include "tensor/gemm.hpp"
@@ -176,6 +181,140 @@ TEST(Im2Col, StridedDestinationMatchesContiguous) {
   for (std::size_t r = 0; r < g.patch_rows(); ++r) {
     for (std::size_t c = 0; c < pc; ++c) {
       EXPECT_EQ(wide[r * 2 * pc + pc + c], contiguous[r * pc + c]);
+    }
+  }
+}
+
+// The patch-matrix cell of tap (c, ky, kx) at output pixel (y, x): its
+// column offset within the image's slice, and the input pixel it reads
+// (-1 when the tap falls in the padding).
+struct NaiveTap {
+  std::size_t row, col;
+  std::ptrdiff_t src;
+};
+
+/// Every tap of every output pixel in (c, ky, kx, y, x) order: the plain
+/// definition of im2col and, in the same order, of col2im's additions.
+std::vector<NaiveTap> naive_taps(const ConvGeometry& g) {
+  std::vector<NaiveTap> taps;
+  std::size_t row = 0;
+  for (std::size_t c = 0; c < g.in_c; ++c) {
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
+        for (std::size_t y = 0; y < g.out_h(); ++y) {
+          for (std::size_t x = 0; x < g.out_w(); ++x) {
+            const auto sy = static_cast<std::ptrdiff_t>(y * g.stride + ky) -
+                            static_cast<std::ptrdiff_t>(g.pad);
+            const auto sx = static_cast<std::ptrdiff_t>(x * g.stride + kx) -
+                            static_cast<std::ptrdiff_t>(g.pad);
+            const bool inside = sy >= 0 && sy < static_cast<std::ptrdiff_t>(g.in_h) &&
+                                sx >= 0 && sx < static_cast<std::ptrdiff_t>(g.in_w);
+            const std::ptrdiff_t plane =
+                static_cast<std::ptrdiff_t>(c * g.in_h * g.in_w);
+            taps.push_back({row, y * g.out_w() + x,
+                            inside ? plane + sy * static_cast<std::ptrdiff_t>(g.in_w) + sx
+                                   : -1});
+          }
+        }
+      }
+    }
+  }
+  return taps;
+}
+
+/// Convolution geometries for the naive-reference checks: stride 1 and 2,
+/// k 1/3/5 with every pad 0..k-1, every plane from 1x1 to 17x17 (square and
+/// not, filters larger than the plane included), in_c cycling through 1..4.
+std::vector<ConvGeometry> im2col_geometries() {
+  std::vector<ConvGeometry> out;
+  for (const std::size_t stride : {1, 2}) {
+    for (const std::size_t k : {1, 3, 5}) {
+      for (std::size_t pad = 0; pad < k; ++pad) {
+        for (std::size_t h = 1; h <= 17; ++h) {
+          for (std::size_t w = 1; w <= 17; ++w) {
+            if (h + 2 * pad < k || w + 2 * pad < k) continue;
+            out.push_back({1 + (3 * h + w + k + pad) % 4, h, w, k, stride, pad});
+          }
+        }
+      }
+    }
+  }
+  return out;
+}
+
+std::string describe(const ConvGeometry& g) {
+  return "in_c " + std::to_string(g.in_c) + " plane " + std::to_string(g.in_h) + "x" +
+         std::to_string(g.in_w) + " k" + std::to_string(g.kernel) + " s" +
+         std::to_string(g.stride) + " p" + std::to_string(g.pad);
+}
+
+// Output buffers carry this many NaN guard floats before and after them.
+constexpr std::size_t kGuard = 8;
+
+TEST(Im2Col, MatchesNaiveReferenceBitForBit) {
+  // The patch matrix is written over NaN, alone and as the middle image of
+  // a 3-image group (row_stride/col_offset); every cell of the image's
+  // slice must match the definition and nothing else may change, guards
+  // included.
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(91);
+  for (const ConvGeometry& g : im2col_geometries()) {
+    std::vector<float> image(g.in_c * g.in_h * g.in_w);
+    for (auto& v : image) v = rng.normal();
+    const std::size_t pr = g.patch_rows(), pc = g.patch_cols();
+    const std::vector<NaiveTap> taps = naive_taps(g);
+    for (const std::size_t group : {1, 3}) {
+      const std::size_t row_stride = group * pc;
+      const std::size_t col_offset = group > 1 ? pc : 0;
+      std::vector<float> want(pr * row_stride + 2 * kGuard, kNaN);
+      for (const NaiveTap& t : taps) {
+        want[kGuard + t.row * row_stride + col_offset + t.col] =
+            t.src < 0 ? 0.0F : image[static_cast<std::size_t>(t.src)];
+      }
+      std::vector<float> got(want.size(), kNaN);
+      im2col(g, image.data(), got.data() + kGuard, group > 1 ? row_stride : 0, col_offset);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+          << describe(g) << " group " << group;
+    }
+  }
+}
+
+TEST(Im2Col, Col2ImMatchesNaiveReferenceBitForBit) {
+  // col2im adds into a gradient that already holds values, so the order of
+  // each element's additions shows in its bits: the definition adds taps in
+  // (ky, kx) order.  The patch values of padding taps are nonzero and must
+  // be dropped.  Alone and as the middle image of a 3-image group; guards
+  // must stay NaN.
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(92);
+  // One pool of patch values, as large as the largest group matrix.
+  const std::vector<ConvGeometry> geometries = im2col_geometries();
+  std::size_t largest = 0;
+  for (const ConvGeometry& g : geometries) {
+    largest = std::max(largest, g.patch_rows() * 3 * g.patch_cols());
+  }
+  std::vector<float> columns(largest);
+  for (auto& v : columns) v = rng.normal();
+  for (const ConvGeometry& g : geometries) {
+    const std::size_t pc = g.patch_cols();
+    const std::size_t img = g.in_c * g.in_h * g.in_w;
+    std::vector<float> start(img + 2 * kGuard, kNaN);
+    for (std::size_t i = 0; i < img; ++i) start[kGuard + i] = rng.normal();
+    const std::vector<NaiveTap> taps = naive_taps(g);
+    for (const std::size_t group : {1, 3}) {
+      const std::size_t row_stride = group * pc;
+      const std::size_t col_offset = group > 1 ? pc : 0;
+      std::vector<float> want = start;
+      for (const NaiveTap& t : taps) {
+        if (t.src < 0) continue;
+        want[kGuard + static_cast<std::size_t>(t.src)] +=
+            columns[t.row * row_stride + col_offset + t.col];
+      }
+      std::vector<float> got = start;
+      col2im(g, columns.data(), got.data() + kGuard, group > 1 ? row_stride : 0,
+             col_offset);
+      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+          << describe(g) << " group " << group;
     }
   }
 }
