@@ -1,8 +1,8 @@
 // Named campaign presets mirroring the paper's figures and tables.
 //
 // A preset is a fully-specified StudySpec at bench scale (the same defaults
-// the bench binaries shipped with: 1 trial, 10 epochs, 0.4 dataset scale).
-// The fig3/fig4/table4 benches are thin wrappers over these presets — the
+// the bench binaries ship with: mostly 1 trial, 10 epochs, 0.4 dataset
+// scale).  The E1-E7 benches are thin wrappers over these presets — the
 // bench flags (--trials, --epochs, --scale, --models, ...) override preset
 // fields *after* lookup, so "what grid does Fig. 3 run" lives in exactly one
 // place.  `paper-full` is the overnight configuration (every architecture,
