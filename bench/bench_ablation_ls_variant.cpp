@@ -36,37 +36,30 @@ int main(int argc, char** argv) try {
   obs::Stopwatch watch;
   BenchJson json("ablation_ls_variant", s);
   AsciiTable table({"variant", "AD", "naive drop", "accuracy"});
-  // Baseline row first, from a Base-only study.
-  experiment::StudyConfig base_cfg =
-      base_study(s, data::DatasetKind::kGtsrbSim, models::Arch::kConvNet);
-  base_cfg.techniques = {mitigation::TechniqueKind::kBaseline,
-                         mitigation::TechniqueKind::kLabelSmoothing};
-  base_cfg.fault_levels = {{faults::FaultSpec{faults::FaultType::kMislabelling,
-                                              cli.get_double("percent")}}};
+  // The Fig. 3 grid narrowed to one ConvNet cell; the baseline row comes
+  // first, then LS under each variant's hyperparameters.
+  study::StudySpec spec = preset_with_settings("fig3-mislabelling", s);
+  spec.models = {models::Arch::kConvNet};
+  spec.fault_levels = {{faults::FaultSpec{faults::FaultType::kMislabelling,
+                                          cli.get_double("percent")}}};
+  spec.techniques = {mitigation::TechniqueKind::kBaseline};
 
-  const auto add_row = [&table, &json](const char* label,
-                                       const experiment::CellResult& cell) {
-    double drop = 0.0;
-    for (const auto& t : cell.trials) drop += t.naive_drop;
-    drop /= static_cast<double>(cell.trials.size());
-    table.add_row({label, percent_with_ci(cell.ad.mean, cell.ad.ci95_half_width),
-                   percent(drop), percent(cell.faulty_accuracy.mean, 0)});
-    json.add(std::string(label) + ".ad", cell.ad.mean);
-    json.add(std::string(label) + ".naive_drop", drop);
+  const auto add_row = [&](const char* label) {
+    const auto result = study::run_campaign(spec, campaign_run_options(s));
+    const study::GroupStats g =
+        study::summarize_campaign(result.records).groups.front();
+    table.add_row({label, percent_with_ci(g.ad.mean, g.ad.ci95_half_width),
+                   percent(g.naive_drop.mean), percent(g.faulty_accuracy.mean, 0)});
+    json.add(std::string(label) + ".ad", g.ad.mean);
+    json.add(std::string(label) + ".naive_drop", g.naive_drop.mean);
   };
 
-  {
-    const auto r = experiment::run_study(base_cfg);
-    add_row("baseline (no technique)",
-            r.cell(0, mitigation::TechniqueKind::kBaseline));
-  }
+  add_row("baseline (no technique)");
+  spec.techniques = {mitigation::TechniqueKind::kLabelSmoothing};
   for (const Variant& v : variants) {
-    experiment::StudyConfig cfg = base_cfg;
-    cfg.techniques = {mitigation::TechniqueKind::kLabelSmoothing};
-    cfg.hyperparams.ls_use_relaxation = v.relaxation;
-    cfg.hyperparams.ls_alpha = v.alpha;
-    const auto r = experiment::run_study(cfg);
-    add_row(v.label, r.cells[0][0]);
+    spec.hyperparams.ls_use_relaxation = v.relaxation;
+    spec.hyperparams.ls_alpha = v.alpha;
+    add_row(v.label);
   }
   std::cout << table.render()
             << "\nnotes: AD and naive drop diverge whenever the protected "

@@ -6,6 +6,9 @@
 // combinations containing mislabelling behave like mislabelling alone, and
 // removal+repetition behaves like repetition alone.  This bench reproduces
 // the comparison and runs Welch's t-test on the per-trial AD samples.
+//
+// Thin wrapper over the `combined-faults` study preset (levels 0-2 are the
+// single fault types, 3-5 the pairs); --model and --percent reshape it.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) try {
@@ -22,30 +25,30 @@ int main(int argc, char** argv) try {
   }
   print_banner("E7: combined fault types vs single fault types (§IV-C)", s);
 
-  const auto model = models::arch_from_name(cli.get_string("model"));
+  study::StudySpec spec = preset_with_settings("combined-faults", s);
+  spec.models = {models::arch_from_name(cli.get_string("model"))};
   const double pct = cli.get_double("percent");
-  using faults::FaultSpec;
-  using faults::FaultType;
-
-  experiment::StudyConfig cfg = base_study(s, data::DatasetKind::kGtsrbSim, model);
-  cfg.techniques = {mitigation::TechniqueKind::kBaseline};
-  cfg.fault_levels = {
-      {FaultSpec{FaultType::kMislabelling, pct}},                                  // 0
-      {FaultSpec{FaultType::kRemoval, pct}},                                       // 1
-      {FaultSpec{FaultType::kRepetition, pct}},                                    // 2
-      {FaultSpec{FaultType::kMislabelling, pct}, FaultSpec{FaultType::kRemoval, pct}},    // 3
-      {FaultSpec{FaultType::kMislabelling, pct}, FaultSpec{FaultType::kRepetition, pct}}, // 4
-      {FaultSpec{FaultType::kRemoval, pct}, FaultSpec{FaultType::kRepetition, pct}},      // 5
-  };
+  for (faults::FaultLevel& level : spec.fault_levels) {
+    for (faults::FaultSpec& fault : level) fault.percent = pct;
+  }
 
   obs::Stopwatch watch;
-  const auto result = experiment::run_study(cfg);
-  std::cout << experiment::render_ad_table(result,
-                                           "AD of single vs combined fault types");
+  const auto result = study::run_campaign(spec, campaign_run_options(s));
+  const auto summary = study::summarize_campaign(result.records);
+  std::cout << study::render_ascii(summary);
   BenchJson json("combined_faults", s);
-  add_study_headlines(json, result);
+  add_campaign_headlines(json, summary);
 
-  // Welch t-tests: combination vs its dominant single fault type.
+  // Welch t-tests: combination vs its dominant single fault type, on the
+  // per-trial AD samples of each level.
+  const auto ad_samples = [&](std::size_t level) {
+    const std::string name = spec.fault_level_name(level);
+    std::vector<double> out;
+    for (const study::CellRecord& r : result.records) {
+      if (r.fault_level == name) out.push_back(r.ad);
+    }
+    return out;
+  };
   struct Pair {
     std::size_t combined;
     std::size_t single;
@@ -56,12 +59,10 @@ int main(int argc, char** argv) try {
       {4, 0, "mislabel+repetition vs mislabel  "},
       {5, 2, "removal+repetition  vs repetition"},
   };
-  std::cout << "\nWelch t-tests on per-trial AD samples (the paper reports "
+  std::cout << "Welch t-tests on per-trial AD samples (the paper reports "
                "all three pairs statistically similar):\n";
   for (const Pair& p : pairs) {
-    const auto a = result.cells[p.combined][0].ad_samples();
-    const auto b = result.cells[p.single][0].ad_samples();
-    const WelchResult w = welch_t_test(a, b);
+    const WelchResult w = welch_t_test(ad_samples(p.combined), ad_samples(p.single));
     std::cout << "  " << p.label << ": t=" << fixed(w.t, 2)
               << " dof=" << fixed(w.dof, 1)
               << (w.significant_at_05 ? "  -> DIFFERENT at 5%"

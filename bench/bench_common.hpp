@@ -25,8 +25,6 @@
 #include "core/logging.hpp"
 #include "core/thread_pool.hpp"
 #include "core/table.hpp"
-#include "experiment/experiment.hpp"
-#include "experiment/report.hpp"
 #include "kernels/kernels.hpp"
 #include "obs/obs.hpp"
 #include "study/study.hpp"
@@ -89,34 +87,6 @@ inline bool parse_bench_flags(int argc, char** argv, CliParser& cli,
   }
   settings.kernel = kernels::kernel_name(kernels::active_kernel());
   return true;
-}
-
-/// Builds the study skeleton shared by all benches.  The tiny Pneumonia-sim
-/// dataset (~120 samples) gets a smaller batch and proportionally more
-/// epochs so every model sees a comparable number of optimisation steps —
-/// with the GTSRB/CIFAR settings it would receive ~4 steps per epoch and
-/// models would collapse to the class prior.
-inline experiment::StudyConfig base_study(const BenchSettings& s,
-                                          data::DatasetKind dataset,
-                                          models::Arch model) {
-  experiment::StudyConfig cfg;
-  cfg.dataset.kind = dataset;
-  cfg.dataset.scale = s.scale;
-  cfg.model = model;
-  cfg.trials = s.trials;
-  cfg.train_opts.epochs = s.epochs;
-  cfg.train_opts.threads = s.threads;
-  cfg.model_width = s.width;
-  cfg.seed = s.seed;
-  if (dataset == data::DatasetKind::kPneumoniaSim) {
-    cfg.train_opts.batch_size = 8;
-    cfg.train_opts.epochs = s.epochs * 5 / 2;
-    // Pneumonia-sim is already tiny (120 train images, mirroring the real
-    // dataset's ~1/10 size); scaling it below full size would leave too few
-    // samples per class for any model to train.  It is cheap — keep it full.
-    cfg.dataset.scale = std::max(s.scale, 1.0);
-  }
-  return cfg;
 }
 
 /// Parses "ResNet50,VGG16,..." into architecture ids.
@@ -206,29 +176,9 @@ class BenchJson {
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 
-/// Adds a study's standard headline metrics: golden accuracy plus the mean
-/// accuracy delta of every (fault level, technique) cell.  `prefix`
-/// disambiguates keys when one bench runs several studies per model
-/// (e.g. a dataset sweep).
-inline void add_study_headlines(BenchJson& json,
-                                const experiment::StudyResult& result,
-                                const std::string& prefix = "") {
-  const std::string model = prefix + models::arch_name(result.config.model);
-  json.add(model + ".golden_accuracy", result.golden_accuracy.mean);
-  for (std::size_t fl = 0; fl < result.config.fault_levels.size(); ++fl) {
-    const std::string level = result.config.fault_level_name(fl);
-    for (std::size_t ti = 0; ti < result.config.techniques.size(); ++ti) {
-      const std::string technique =
-          mitigation::technique_name(result.config.techniques[ti]);
-      json.add(model + "." + level + "." + technique + ".ad",
-               result.cells[fl][ti].ad.mean);
-    }
-  }
-}
-
 /// Looks up a study preset and applies the shared bench flags on top, so the
-/// fig3/fig4/table4 benches stay thin wrappers: the grid lives in the preset,
-/// the scaling knobs live here.
+/// E1-E8 benches and the ablations stay thin wrappers: the grid lives in the
+/// preset, the scaling knobs live here.
 inline study::StudySpec preset_with_settings(const std::string& preset,
                                              const BenchSettings& s) {
   study::StudySpec spec = study::preset_spec(preset);

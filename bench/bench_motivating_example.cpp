@@ -4,6 +4,10 @@
 // accuracy 90%, unprotected faulty accuracy 55%, and per-technique AD of
 // LS 5%, LC 29%, RL 15%, KD 13%, Ens 5% — label smoothing and ensembles are
 // the most resilient.  This bench regenerates those rows.
+//
+// Thin wrapper over the `motivating-example` study preset: the grid lives in
+// src/study/presets.cpp; this binary applies the scaling flags and renders
+// the campaign summary plus the faulty-accuracy row.
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) try {
@@ -18,25 +22,20 @@ int main(int argc, char** argv) try {
   }
   print_banner("E1: motivating example — Pneumonia, ResNet50, 10% mislabelling", s);
 
-  experiment::StudyConfig cfg =
-      base_study(s, data::DatasetKind::kPneumoniaSim, models::Arch::kResNet50);
-  cfg.fault_levels = {
-      {faults::FaultSpec{faults::FaultType::kMislabelling, 10.0}}};
-
+  const study::StudySpec spec = preset_with_settings("motivating-example", s);
   obs::Stopwatch watch;
-  const experiment::StudyResult result = experiment::run_study(cfg);
-
-  std::cout << experiment::render_ad_table(
-      result, "AD, Pneumonia-sim / ResNet50 / 10% mislabelling");
-  std::cout << "\n"
-            << experiment::render_accuracy_table(
-                   result, "accuracy under 10% mislabelling");
-  std::cout << "\n" << experiment::render_winners(result);
-  std::cout << "\npaper reference: golden 90%, faulty base 55% accuracy; AD "
+  const auto result = study::run_campaign(spec, campaign_run_options(s));
+  const auto summary = study::summarize_campaign(result.records);
+  std::cout << study::render_ascii(summary);
+  std::cout << "accuracy under 10% mislabelling:";
+  for (const study::GroupStats& g : summary.groups) {
+    std::cout << "  " << g.technique << " " << percent(g.faulty_accuracy.mean, 0);
+  }
+  std::cout << "\n\npaper reference: golden 90%, faulty base 55% accuracy; AD "
                "LS 5%, LC 29%, RL 15%, KD 13%, Ens 5%\n";
-  std::cout << "elapsed: " << tdfm::fixed(watch.elapsed_seconds(), 1) << "s\n";
+  std::cout << "elapsed: " << fixed(watch.elapsed_seconds(), 1) << "s\n";
   BenchJson json("motivating_example", s);
-  add_study_headlines(json, result);
+  add_campaign_headlines(json, summary);
   json.add("elapsed_seconds", watch.elapsed_seconds());
   json.emit(s);
   return 0;

@@ -297,44 +297,53 @@ int main(int argc, char** argv) try {
   }
   print_banner("E8: runtime overhead of the TDFM techniques (§IV-E)", s);
 
+  // The Fig. 3 grid narrowed to one panel at 30% mislabelling.
   const auto model = models::arch_from_name(cli.get_string("model"));
-  experiment::StudyConfig cfg = base_study(s, data::DatasetKind::kGtsrbSim, model);
-  cfg.fault_levels = {
+  study::StudySpec spec = preset_with_settings("fig3-mislabelling", s);
+  spec.models = {model};
+  spec.fault_levels = {
       {faults::FaultSpec{faults::FaultType::kMislabelling, 30.0}}};
 
   obs::Stopwatch watch;
-  const auto result = experiment::run_study(cfg);
-  std::cout << experiment::render_overhead_table(
-      result, std::string("overheads — GTSRB-sim / ") + models::arch_name(model) +
-                  " / 30% mislabelling");
+  const auto result = study::run_campaign(spec, campaign_run_options(s));
+  const auto summary = study::summarize_campaign(result.records);
+  study::ReportOptions with_timings;
+  with_timings.include_timings = true;
+  std::cout << "overheads — GTSRB-sim / " << models::arch_name(model)
+            << " / 30% mislabelling\n"
+            << study::render_ascii(summary, with_timings);
+
+  // Each technique's cost relative to the unprotected baseline (§IV-E);
+  // Base leads the preset's technique axis.
+  const study::GroupStats& base = summary.groups.front();
+  const auto ratio = [](double x, double to) {
+    return fixed(to > 0.0 ? x / to : 0.0, 2) + "x";
+  };
+  AsciiTable overhead({"technique", "train overhead", "infer overhead"});
+  for (const study::GroupStats& g : summary.groups) {
+    overhead.add_row({g.technique,
+                      ratio(g.train_seconds.mean, base.train_seconds.mean),
+                      ratio(g.infer_seconds.mean, base.infer_seconds.mean)});
+  }
+  std::cout << "## Overhead relative to Base\n" << overhead.render();
 
   if (cli.get_bool("verbose")) {
     std::cout << "\nAD-definition ablation (per §III-C AD avoids double-"
                  "counting; naive drop conflates golden mistakes):\n";
     AsciiTable ab({"technique", "AD", "reverse AD", "naive accuracy drop"});
-    for (std::size_t ti = 0; ti < result.config.techniques.size(); ++ti) {
-      const auto& cell = result.cells[0][ti];
-      double rad = 0.0;
-      double drop = 0.0;
-      for (const auto& t : cell.trials) {
-        rad += t.reverse_ad;
-        drop += t.naive_drop;
-      }
-      const auto n = static_cast<double>(cell.trials.size());
-      ab.add_row({std::string(mitigation::technique_name(result.config.techniques[ti])),
-                  percent(cell.ad.mean), percent(rad / n), percent(drop / n)});
+    for (const study::GroupStats& g : summary.groups) {
+      ab.add_row({g.technique, percent(g.ad.mean), percent(g.reverse_ad.mean),
+                  percent(g.naive_drop.mean)});
     }
     std::cout << ab.render();
   }
   if (cli.get_bool("thread-sweep")) print_thread_sweep(s, model);
 
   BenchJson json("overhead", s);
-  add_study_headlines(json, result);
-  for (std::size_t ti = 0; ti < result.config.techniques.size(); ++ti) {
-    const std::string tname =
-        mitigation::technique_name(result.config.techniques[ti]);
-    json.add(tname + ".train_seconds", result.cells[0][ti].train_seconds.mean);
-    json.add(tname + ".infer_seconds", result.cells[0][ti].infer_seconds.mean);
+  add_campaign_headlines(json, summary);
+  for (const study::GroupStats& g : summary.groups) {
+    json.add(g.technique + ".train_seconds", g.train_seconds.mean);
+    json.add(g.technique + ".infer_seconds", g.infer_seconds.mean);
   }
   if (cli.get_bool("obs-overhead")) print_obs_overhead(s, model, json);
   if (cli.get_bool("pipeline-overhead")) print_pipeline_overhead(s, json);

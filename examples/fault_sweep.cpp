@@ -1,18 +1,17 @@
-// Fault sweep: the library's experiment harness driven as an application.
+// Fault sweep: the library's campaign engine driven as an application.
 //
-// Sweeps one (dataset, model, technique set) configuration across all three
-// fault types and prints AD tables plus a CSV block for plotting — the same
-// machinery the bench binaries use, exposed as a configurable tool.
+// Sweeps one (dataset, model, technique set) configuration across the
+// selected fault types and prints the AD table, the technique ranks and
+// optionally a CSV block for plotting — the same machinery the bench
+// binaries use, exposed as a configurable tool.  For example:
 //
-//   $ ./examples/fault_sweep --dataset cifar10 --model VGG11 \
-//       --techniques Base,LS,Ens --trials 2
+//   ./examples/fault_sweep --dataset cifar10 --model VGG11 --trials 2
 #include <iostream>
 
 #include "core/cli.hpp"
 #include "core/logging.hpp"
 #include "core/thread_pool.hpp"
-#include "experiment/experiment.hpp"
-#include "experiment/report.hpp"
+#include "study/study.hpp"
 
 int main(int argc, char** argv) try {
   using namespace tdfm;
@@ -37,23 +36,22 @@ int main(int argc, char** argv) try {
   core::ThreadPool::set_global_threads(
       static_cast<std::size_t>(cli.get_int("threads")));
 
-  experiment::StudyConfig cfg;
-  cfg.dataset.kind = data::dataset_from_name(cli.get_string("dataset"));
-  cfg.dataset.scale = cli.get_double("scale");
-  cfg.model = models::arch_from_name(cli.get_string("model"));
-  cfg.model_width = static_cast<std::size_t>(cli.get_int("width"));
-  cfg.trials = static_cast<std::size_t>(cli.get_int("trials"));
-  cfg.train_opts.epochs = static_cast<std::size_t>(cli.get_int("epochs"));
-  cfg.seed = cli.get_u64("seed");
-
-  cfg.techniques.clear();
+  study::StudySpec spec;
+  spec.name = "fault-sweep";
+  spec.datasets = {data::dataset_from_name(cli.get_string("dataset"))};
+  spec.models = {models::arch_from_name(cli.get_string("model"))};
+  spec.scale = cli.get_double("scale");
+  spec.model_width = static_cast<std::size_t>(cli.get_int("width"));
+  spec.trials = static_cast<std::size_t>(cli.get_int("trials"));
+  spec.train_opts.epochs = static_cast<std::size_t>(cli.get_int("epochs"));
+  spec.seed = cli.get_u64("seed");
   {
     const std::string list = cli.get_string("techniques");
     std::size_t pos = 0;
     while (pos < list.size()) {
       const std::size_t comma = list.find(',', pos);
       const std::size_t end = comma == std::string::npos ? list.size() : comma;
-      cfg.techniques.push_back(
+      spec.techniques.push_back(
           mitigation::technique_from_name(list.substr(pos, end - pos)));
       pos = end + 1;
     }
@@ -67,17 +65,16 @@ int main(int argc, char** argv) try {
   } else {
     types = {faults::fault_from_name(fault)};
   }
-
   for (const auto type : types) {
-    cfg.fault_levels = experiment::standard_sweep(type);
-    const auto result = experiment::run_study(cfg);
-    std::cout << experiment::render_ad_table(
-                     result, std::string(data::dataset_name(cfg.dataset.kind)) +
-                                 " / " + models::arch_name(cfg.model) + " / " +
-                                 faults::fault_name(type))
-              << experiment::render_winners(result) << '\n';
-    if (cli.get_bool("csv")) std::cout << experiment::render_csv(result) << '\n';
+    for (faults::FaultLevel& level : faults::standard_sweep(type)) {
+      spec.fault_levels.push_back(std::move(level));
+    }
   }
+
+  const auto result = study::run_campaign(spec);
+  const auto summary = study::summarize_campaign(result.records);
+  std::cout << study::render_ascii(summary);
+  if (cli.get_bool("csv")) std::cout << study::render_csv(summary);
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "error: " << e.what() << '\n';

@@ -32,6 +32,14 @@ std::string FaultSpec::to_string() const {
   return std::string(fault_name(type)) + "@" + buf + "%";
 }
 
+std::vector<FaultLevel> standard_sweep(FaultType type) {
+  std::vector<FaultLevel> levels;
+  for (const double pct : {10.0, 30.0, 50.0}) {
+    levels.push_back({FaultSpec{type, pct}});
+  }
+  return levels;
+}
+
 namespace {
 
 std::size_t affected_count(std::size_t n, double percent) {

@@ -33,6 +33,14 @@ struct FaultSpec {
   [[nodiscard]] std::string to_string() const;
 };
 
+/// One fault level = a list of fault campaigns applied in order (single
+/// entry for the paper's main sweeps; two entries for §IV-C combinations;
+/// empty for no-injection baselines like Table IV).
+using FaultLevel = std::vector<FaultSpec>;
+
+/// The paper's standard sweep for one fault type: {10%, 30%, 50%}.
+[[nodiscard]] std::vector<FaultLevel> standard_sweep(FaultType type);
+
 /// What the injector actually did, for logging and tests.
 struct InjectionReport {
   std::size_t original_size = 0;

@@ -29,14 +29,14 @@
 #include <vector>
 
 #include "data/synthetic.hpp"
-#include "experiment/experiment.hpp"
+#include "faults/fault_injector.hpp"
 #include "mitigation/registry.hpp"
 #include "models/model_zoo.hpp"
 #include "nn/trainer.hpp"
 
 namespace tdfm::study {
 
-using experiment::FaultLevel;
+using faults::FaultLevel;
 
 /// Declarative description of one campaign: the grid axes plus the shared
 /// training configuration.  Axis order is fixed (dataset-major, trial-minor)

@@ -188,6 +188,18 @@ TEST(FaultSpecTest, ToStringKeepsFractionalPercentages) {
   EXPECT_EQ((FaultSpec{FaultType::kRemoval, 5.0}).to_string(), "removal@5%");
 }
 
+TEST(FaultInjector, StandardSweepIsTenThirtyFifty) {
+  const auto sweep = standard_sweep(FaultType::kRemoval);
+  ASSERT_EQ(sweep.size(), 3U);
+  EXPECT_EQ(sweep[0][0].percent, 10.0);
+  EXPECT_EQ(sweep[1][0].percent, 30.0);
+  EXPECT_EQ(sweep[2][0].percent, 50.0);
+  for (const auto& level : sweep) {
+    ASSERT_EQ(level.size(), 1U);
+    EXPECT_EQ(level[0].type, FaultType::kRemoval);
+  }
+}
+
 class MislabelRateTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(MislabelRateTest, AffectedCountMatchesRate) {

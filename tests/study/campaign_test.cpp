@@ -89,8 +89,9 @@ TEST(OnceMap, FailedFactoryAllowsRetry) {
   EXPECT_TRUE(computed);
 }
 
-// Satellite: the same spec at --jobs 1 and --jobs 4 (and in shuffled cell
-// order) produces identical journal records modulo timing fields.
+// The same spec at --jobs 1 and --jobs 4 (and in shuffled cell order)
+// produces identical journal records modulo timing fields, while a
+// different campaign seed changes them.
 TEST(Campaign, BitIdenticalAcrossJobsAndExecutionOrder) {
   const StudySpec spec = tiny_campaign(101, {models::Arch::kConvNet,
                                              models::Arch::kDeconvNet});
@@ -111,6 +112,19 @@ TEST(Campaign, BitIdenticalAcrossJobsAndExecutionOrder) {
   EXPECT_EQ(render_csv(summary_a), render_csv(summary_b));
   EXPECT_EQ(render_ascii(summary_a), render_ascii(summary_b));
   EXPECT_EQ(render_json_summary(summary_a), render_json_summary(summary_b));
+
+  StudySpec reseeded = spec;
+  reseeded.seed += 1000;  // a seed no other test's dataset cache uses
+  const CampaignResult other = run_campaign(reseeded, serial);
+  ASSERT_EQ(other.records.size(), base.records.size());
+  bool any_differs = false;
+  for (std::size_t i = 0; i < base.records.size(); ++i) {
+    any_differs = any_differs ||
+                  other.records[i].golden_accuracy !=
+                      base.records[i].golden_accuracy ||
+                  other.records[i].ad != base.records[i].ad;
+  }
+  EXPECT_TRUE(any_differs);
 }
 
 // Satellite: a partial journal resumes without recomputing journaled cells,
