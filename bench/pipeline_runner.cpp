@@ -8,8 +8,8 @@
 // which scripts/pipeline_smoke.sh asserts with cmp.  --duration switches to
 // wall-clock mode for soak runs (log no longer replay-stable).
 //
-//   pipeline_runner --fault-rate 30 --window 96 --retrain-every 2 \
-//       --canary-fraction 0.25 --ad-threshold 0.15 --rounds 8 --seed 7 \
+//   pipeline_runner --fault-rate 30 --window 96 --retrain-every 2
+//       --canary-fraction 0.25 --ad-threshold 0.15 --rounds 8 --seed 7
 //       --corrupt-round 3 --decision-log decisions.jsonl --out result.json
 #include "bench_common.hpp"
 #include "pipeline/pipeline.hpp"

@@ -68,9 +68,16 @@ Dataset concatenate(const Dataset& a, const Dataset& b) {
   std::vector<std::size_t> dims = a.images.shape().dims();
   dims[0] = a.size() + b.size();
   out.images = Tensor{Shape(dims)};
-  std::memcpy(out.images.data(), a.images.data(), a.images.numel() * sizeof(float));
-  std::memcpy(out.images.data() + a.images.numel(), b.images.data(),
-              b.images.numel() * sizeof(float));
+  // An empty side may hold a null buffer, and memcpy from null is UB even
+  // for zero bytes.
+  if (a.images.numel() > 0) {
+    std::memcpy(out.images.data(), a.images.data(),
+                a.images.numel() * sizeof(float));
+  }
+  if (b.images.numel() > 0) {
+    std::memcpy(out.images.data() + a.images.numel(), b.images.data(),
+                b.images.numel() * sizeof(float));
+  }
   out.labels = a.labels;
   out.labels.insert(out.labels.end(), b.labels.begin(), b.labels.end());
   return out;

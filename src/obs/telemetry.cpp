@@ -71,7 +71,9 @@ void set_metrics_output(const std::string& path) {
     set_metrics_enabled(true);
     if (!s.atexit_registered) {
       s.atexit_registered = true;
-      Registry::global();  // outlive the atexit handler
+      // Construct the registry before registering the handler so it is
+      // destroyed after flush_at_exit runs.
+      (void)Registry::global();
       std::atexit(flush_at_exit);
     }
   }

@@ -281,7 +281,9 @@ TEST_P(NoiseRobustnessTest, RCESymmetryProperty) {
   // Sum over labels of RCE = -A * (K - 1) exactly: constant 4 * 3 = 12.
   EXPECT_NEAR(rce_total, 12.0, 1e-4);
   // CE has no such symmetry for non-uniform logits.
-  if (GetParam() > 0.5) EXPECT_GT(ce_max - ce_min, 0.1);
+  if (GetParam() > 0.5) {
+    EXPECT_GT(ce_max - ce_min, 0.1);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(LogitScales, NoiseRobustnessTest,

@@ -66,7 +66,9 @@ TEST(Telemetry, TrainerEmitsOneRecordPerEpochWithMonotoneTime) {
     EXPECT_GE(r.wall_seconds, 0.0);
     EXPECT_GT(r.samples_per_second, 0.0);
     // Cumulative wall-time is strictly monotone across epochs.
-    if (i > 0) EXPECT_GT(r.total_seconds, records[i - 1].total_seconds);
+    if (i > 0) {
+      EXPECT_GT(r.total_seconds, records[i - 1].total_seconds);
+    }
     EXPECT_GE(r.total_seconds, r.wall_seconds);
   }
   // Learning rate decays per epoch (default lr_decay < 1).
