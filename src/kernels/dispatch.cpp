@@ -17,11 +17,13 @@ constexpr KernelTable kScalarTable{
     dw_input_grad_scalar,  dw_weight_grad_scalar};
 // SSE2 has no efficient int8 widening (needs SSE4.1) and no float trunc
 // (SSE4.1 round), so its q8 entries are the scalar ones — q8 results are
-// exact either way, the choice is pure speed.
+// exact either way, the choice is pure speed.  Its depthwise entries are the
+// scalar ones too: a 4-lane run would double the channel-lane code for a
+// table no end-to-end number runs.
 constexpr KernelTable kSse2Table{
     gemm_nn_rows_sse2,     gemm_nt_rows_sse2,     gemm_tn_rows_sse2,
-    gemm_q8_rows_scalar,   quantize_q8_rows_scalar, dw_forward_sse2,
-    dw_input_grad_sse2,    dw_weight_grad_sse2};
+    gemm_q8_rows_scalar,   quantize_q8_rows_scalar, dw_forward_scalar,
+    dw_input_grad_scalar,  dw_weight_grad_scalar};
 constexpr KernelTable kAvx2Table{
     gemm_nn_rows_avx2,     gemm_nt_rows_avx2,     gemm_tn_rows_avx2,
     gemm_q8_rows_avx2,     quantize_q8_rows_avx2, dw_forward_avx2,

@@ -28,13 +28,15 @@
 // integer dot is exact with a fixed float accumulation order, so q8 results
 // are bit-identical across *all* kernel choices.
 //
-// The depthwise entries work on one [in_h, in_w] plane per call and slide the
-// k x k window directly, with no patch matrix.  Their forward pass and input
-// gradient repeat, per element, the operation sequence of im2col + the same
-// table's nn kernel (resp. tn kernel + col2im), so they are bit-identical to
-// that path (the input gradient for finite filters); the weight gradient is
-// a dot product of its own reduction shape (scalar: the sequential sum,
-// identical to the nt kernel).
+// The depthwise entries work on one image's run of up to kDwLanes channels
+// per call, one channel per vector lane (kernels/depthwise.cpp documents
+// the layout).  Each lane repeats, per element, the operation sequence of
+// the per-plane loops they replaced, so every table's outputs are
+// bit-identical to its earlier kernels (the input gradient for finite
+// filters): the forward pass and input gradient also equal im2col + the
+// same table's nn kernel (resp. tn kernel + col2im); the weight gradient is
+// a dot product of each table's own reduction shape (scalar: the
+// sequential sum, identical to the nt kernel).
 #pragma once
 
 #include <cstddef>
@@ -69,6 +71,9 @@ using QuantizeQ8Fn = void (*)(const float* src, std::size_t rows,
                               std::size_t cols, std::int8_t* codes,
                               float* scales);
 
+/// Channels per depthwise call: one 256-bit vector of floats.
+inline constexpr std::size_t kDwLanes = 8;
+
 /// One depthwise plane: a `kernel` x `kernel` filter slid over an
 /// [in_h, in_w] plane with step `stride` and `pad` zeros on every side (the
 /// single-channel case of tdfm::ConvGeometry).
@@ -84,58 +89,45 @@ struct DwGeometry {
   [[nodiscard]] std::size_t out_w() const {
     return (in_w + 2 * pad - kernel) / stride + 1;
   }
+  [[nodiscard]] std::size_t taps() const { return kernel * kernel; }
 };
 
-/// Everything the depthwise kernels derive from a DwGeometry, computed once
-/// by dw_plan() and shared read-only by every plane of a layer call (and by
-/// every thread).
-///
-/// Each kernel call works in caller-owned scratch of `scratch_floats`
-/// floats.  Its first `plane_floats` hold a zero-padded copy of one plane,
-/// split by stride phase: padded row r (0 <= r < in_h + 2*pad) holds
-/// `stride` phase rows of `row_len` floats, and element i of phase q is
-/// padded column stride*i + q.  The input under output pixel (y, x) at tap
-/// t = (ky, kx) then sits at y*row_step + tap_offset[t] + x, so every tap
-/// reads a contiguous run whatever the stride.  Rows reach a whole 8-lane
-/// vector past the last output column, so vector loads never leave the
-/// buffer.  The rest holds one output-gradient plane bordered by zeros,
-/// `grad_lead` rows above and columns before it (`grad_rows` rows of
-/// `grad_row_len` floats), for kernels that gather instead of scatter.
-/// Interior elements: of phase q, [col_begin[q], col_end[q]); padded rows
-/// q, q + stride, ... inside the plane are phase row indexes
-/// [row_begin[q], row_end[q]).
-struct DwPlan {
-  DwGeometry geom;
-  std::size_t out_h = 0, out_w = 0;
-  std::size_t row_len = 0;
-  std::size_t row_step = 0;  ///< floats from output row y's inputs to y+1's
-  std::size_t plane_floats = 0;
-  std::size_t grad_lead = 0, grad_rows = 0, grad_row_len = 0;
-  std::size_t scratch_floats = 0;
-  std::vector<std::size_t> tap_offset;  ///< one per tap, (ky, kx) order
-  std::vector<std::size_t> col_begin, col_end, row_begin, row_end;
-};
+/// Floats of one run's packed filters: tap t's kDwLanes weights at
+/// [t * kDwLanes, (t + 1) * kDwLanes), lane l holding channel c0 + l, then
+/// the run's kDwLanes biases.
+[[nodiscard]] std::size_t dw_run_floats(const DwGeometry& g);
 
-[[nodiscard]] DwPlan dw_plan(const DwGeometry& g);
+/// Packs `channels` filters ([channels, k*k], the layer's weight rows) and
+/// biases into ceil(channels / kDwLanes) runs of dw_run_floats(g) floats.
+/// Lanes past the last channel hold zero.  Done once per layer call.
+void dw_pack_filters(const DwGeometry& g, std::size_t channels,
+                     const float* filter, const float* bias, float* packed);
 
-/// Depthwise forward of one plane: out[y, x] = bias + sum over taps t =
-/// (ky, kx) in ascending order of filter[t] * in[y*stride + ky - pad,
-/// x*stride + kx - pad], out-of-plane taps reading zero.
-using DwForwardFn = void (*)(const DwPlan& plan, const float* in,
-                             const float* filter, float bias, float* out,
+/// Scratch floats any depthwise entry needs for one call (caller-owned, any
+/// contents on entry).
+[[nodiscard]] std::size_t dw_scratch_floats(const DwGeometry& g);
+
+/// Depthwise forward of one image's run of `lanes` (1..kDwLanes) channels:
+/// `in` holds the run's input planes [lanes, in_h, in_w], `run` its packed
+/// filters, and out[l, y, x] = bias_l + the sum over taps t = (ky, kx) in
+/// ascending order of w_l[t] * in[l, y*stride + ky - pad, x*stride + kx -
+/// pad], out-of-plane taps reading zero.
+using DwForwardFn = void (*)(const DwGeometry& g, std::size_t lanes,
+                             const float* in, const float* run, float* out,
                              float* scratch);
 
-/// Input gradient of one plane (the adjoint of the forward pass, without
-/// bias): overwrites din[in_h, in_w].
-using DwInputGradFn = void (*)(const DwPlan& plan, const float* gout,
-                               const float* filter, float* din,
+/// Input gradient of one run (the adjoint of the forward pass, without
+/// bias): overwrites din[lanes, in_h, in_w] from gout[lanes, out_h, out_w].
+using DwInputGradFn = void (*)(const DwGeometry& g, std::size_t lanes,
+                               const float* gout, const float* run, float* din,
                                float* scratch);
 
-/// Weight and bias gradients of one plane, accumulated: dfilter[t] += the dot
-/// of gout with tap t's window, *dbias += the sum of gout.
-using DwWeightGradFn = void (*)(const DwPlan& plan, const float* in,
-                                const float* gout, float* dfilter,
-                                float* dbias, float* scratch);
+/// Weight and bias gradients of one run, accumulated: dfilter[l, t] += the
+/// dot of channel l's gout with tap t's window, dbias[l] += the sum of
+/// channel l's gout (dfilter rows are the layer's [channels, k*k] layout).
+using DwWeightGradFn = void (*)(const DwGeometry& g, std::size_t lanes,
+                                const float* in, const float* gout,
+                                float* dfilter, float* dbias, float* scratch);
 
 struct KernelTable {
   GemmRowsFn nn;

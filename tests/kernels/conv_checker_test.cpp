@@ -1,12 +1,5 @@
-// Small-plane convolution paths vs the per-image im2col reference.
-//
-// Depthwise: the direct kernels repeat the im2col path's per-element
-// operation sequence, so for every kernel table the forward pass must be
-// memcmp-equal to im2col + that table's nn kernel (plus bias) and the input
-// gradient memcmp-equal to that table's tn kernel + col2im.  The weight and
-// bias gradients reduce in their own shape: within the checker's k-scaled
-// tolerance of the nt kernel's dot, and bit-identical to it for the scalar
-// reference (a sequential sum in both).
+// Small-plane convolution paths vs the per-image im2col reference (the
+// depthwise kernels have their own checker, dw_checker_test.cpp).
 //
 // Grouped Conv2D: images whose output plane is under 64 px share one GEMM.
 // The forward pass must be memcmp-equal to per-image GEMMs at every table;
@@ -17,7 +10,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -34,107 +26,8 @@ namespace {
 using kernels_test::expect_allclose;
 using kernels_test::KernelGuard;
 
-std::vector<float> random_vector(std::size_t n, Rng& rng) {
-  std::vector<float> v(n);
-  for (auto& x : v) x = rng.normal();
-  return v;
-}
-
 bool bit_equal(const float* a, const float* b, std::size_t n) {
   return std::memcmp(a, b, n * sizeof(float)) == 0;
-}
-
-/// Every combination of stride 1/2, pad 0/1 and kernel 1/3 over 1x1, 2x2,
-/// 4x4, odd-sized and 16x16 planes (the shapes the padding admits).
-std::vector<kernels::DwGeometry> depthwise_cases() {
-  const std::size_t planes[][2] = {{1, 1}, {2, 2}, {4, 4}, {5, 7}, {9, 3}, {16, 16}};
-  std::vector<kernels::DwGeometry> cases;
-  for (const auto& hw : planes) {
-    for (const std::size_t kernel : {1, 3}) {
-      for (const std::size_t stride : {1, 2}) {
-        for (const std::size_t pad : {0, 1}) {
-          if (hw[0] + 2 * pad < kernel || hw[1] + 2 * pad < kernel) continue;
-          cases.push_back({hw[0], hw[1], kernel, stride, pad});
-        }
-      }
-    }
-  }
-  return cases;
-}
-
-std::string describe(kernels::KernelKind kind, const kernels::DwGeometry& g) {
-  return std::string(kernels::kernel_name(kind)) + " " + std::to_string(g.in_h) +
-         "x" + std::to_string(g.in_w) + " k" + std::to_string(g.kernel) + " s" +
-         std::to_string(g.stride) + " p" + std::to_string(g.pad);
-}
-
-TEST(ConvChecker, DepthwiseKernelsMatchIm2colPath) {
-  for (const kernels::DwGeometry& g : depthwise_cases()) {
-    const ConvGeometry cg{1, g.in_h, g.in_w, g.kernel, g.stride, g.pad};
-    const std::size_t pr = cg.patch_rows();
-    const std::size_t pc = cg.patch_cols();
-    ASSERT_EQ(pc, g.out_h() * g.out_w());
-    Rng rng(g.in_h * 131 + g.in_w * 17 + g.kernel * 5 + g.stride * 3 + g.pad);
-    const auto image = random_vector(g.in_h * g.in_w, rng);
-    const auto filter = random_vector(pr, rng);
-    const auto gout = random_vector(pc, rng);
-    const float bias = rng.normal();
-    const auto dfilter_seed = random_vector(pr, rng);
-    const float dbias_seed = rng.normal();
-    std::vector<float> columns(pr * pc);
-    im2col(cg, image.data(), columns.data());
-    // Scratch starts as garbage: no kernel may depend on its contents.
-    const kernels::DwPlan plan = kernels::dw_plan(g);
-    std::vector<float> scratch(plan.scratch_floats);
-    const auto poison = [&] {
-      std::fill(scratch.begin(), scratch.end(),
-                std::numeric_limits<float>::quiet_NaN());
-    };
-
-    for (const kernels::KernelKind kind : kernels::supported_kernels()) {
-      const kernels::KernelTable& table = kernels::kernel_table(kind);
-      const std::string what = describe(kind, g);
-
-      std::vector<float> ref(pc);
-      table.nn(0, 1, 1, pc, pr, filter.data(), columns.data(), ref.data(), false);
-      for (float& v : ref) v += bias;
-      std::vector<float> got(pc, -1.0F);
-      poison();
-      table.dw_forward(plan, image.data(), filter.data(), bias, got.data(),
-                       scratch.data());
-      EXPECT_TRUE(bit_equal(got.data(), ref.data(), pc)) << "forward, " << what;
-
-      std::vector<float> grad_columns(pr * pc);
-      table.tn(0, pr, pr, pc, 1, filter.data(), gout.data(), grad_columns.data(),
-               false);
-      std::vector<float> ref_din(g.in_h * g.in_w, 0.0F);
-      col2im(cg, grad_columns.data(), ref_din.data());
-      std::vector<float> din(ref_din.size(), -1.0F);  // must be overwritten
-      poison();
-      table.dw_input_grad(plan, gout.data(), filter.data(), din.data(), scratch.data());
-      EXPECT_TRUE(bit_equal(din.data(), ref_din.data(), din.size()))
-          << "input gradient, " << what;
-
-      std::vector<float> dots(pr);
-      table.nt(0, 1, 1, pr, pc, gout.data(), columns.data(), dots.data(), false);
-      std::vector<float> ref_dw = dfilter_seed;
-      for (std::size_t t = 0; t < pr; ++t) ref_dw[t] += dots[t];
-      float sum = 0.0F;
-      for (const float v : gout) sum += v;
-      const float ref_db = dbias_seed + sum;
-      std::vector<float> dw = dfilter_seed;
-      float db = dbias_seed;
-      poison();
-      table.dw_weight_grad(plan, image.data(), gout.data(), dw.data(), &db,
-                           scratch.data());
-      expect_allclose(dw.data(), ref_dw.data(), pr, pc, "filter gradient, " + what);
-      expect_allclose(&db, &ref_db, 1, pc, "bias gradient, " + what);
-      if (kind == kernels::KernelKind::kScalar) {
-        EXPECT_TRUE(bit_equal(dw.data(), ref_dw.data(), pr)) << what;
-        EXPECT_TRUE(bit_equal(&db, &ref_db, 1)) << what;
-      }
-    }
-  }
 }
 
 struct ConvCase {
