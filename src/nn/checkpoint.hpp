@@ -20,6 +20,15 @@
 //       pipeline-promoted quantized candidate round-trips through
 //       save/load without silently dequantizing.
 //
+// In every version the float block is Network::save_weights(): each
+// parameter, then each layer's state, which is BatchNorm2D's running mean
+// and variance (Layer::state).  A network without batch norm has no state,
+// so its files are unchanged.  A batch-norm network's file written before
+// the state was saved holds the parameters alone; it still loads, and the
+// running statistics keep the freshly built values (mean 0, variance 1).
+// Readers that predate the state refuse a batch-norm file written now: its
+// count does not match their network.
+//
 // load_checkpoint reads all versions; save_checkpoint writes v1 unless a
 // CheckpointMeta is supplied, and then v2 unless meta sets a v3-only field
 // (so existing v2 files stay byte-identical).  The architecture is stored
@@ -73,8 +82,9 @@ void save_checkpoint(Network& net, const std::string& path,
 
 /// Loads weights saved by either save_checkpoint overload into a
 /// structurally identical network (v2 metadata is validated for internal
-/// consistency, then skipped).  Throws tdfm::Error on I/O failure, format
-/// mismatch, or when the stored scalar count does not match the network.
+/// consistency, then skipped).  Throws tdfm::Error on I/O failure or format
+/// mismatch, and InvariantError when the stored scalar count matches
+/// neither the network's parameters nor its parameters and state.
 void load_checkpoint(Network& net, const std::string& path);
 
 }  // namespace tdfm::nn

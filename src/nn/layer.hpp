@@ -54,6 +54,13 @@ class Layer {
   /// Trainable parameters (empty for stateless layers).  Non-owning.
   virtual std::vector<Parameter*> parameters() { return {}; }
 
+  /// State a forward pass reads besides the parameters, learned but not
+  /// trained by gradients: BatchNorm2D's running mean and variance (empty
+  /// for other layers).  Non-owning; composite blocks report their
+  /// contents.  Weight copies, save/load and checkpoints carry it
+  /// (nn/network.hpp).
+  virtual std::vector<Tensor*> state() { return {}; }
+
   /// Converts this layer's weights to the q8_0 inference format
   /// (kernels/quant.hpp), releasing the fp32 masters and gradients.  The
   /// layer becomes forward-only: backward() throws, parameter_count()

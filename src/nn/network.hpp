@@ -32,6 +32,10 @@ class Network {
 
   [[nodiscard]] std::vector<Parameter*> parameters() { return body_->parameters(); }
 
+  /// The layers' non-trainable state (Layer::state: BatchNorm2D's running
+  /// statistics; empty for networks without batch norm).
+  [[nodiscard]] std::vector<Tensor*> state() { return body_->state(); }
+
   void zero_grad() {
     for (auto* p : body_->parameters()) p->zero_grad();
   }
@@ -61,15 +65,19 @@ class Network {
     return body_->quantized_weights();
   }
 
-  /// Copies all parameter values from another structurally identical
-  /// network (same factory, same seed discipline).  Used by knowledge
-  /// distillation to snapshot the teacher.
+  /// Copies all parameter values and the state (running statistics) from
+  /// another structurally identical network (same factory, same seed
+  /// discipline).  Used by serving replicas and the pipeline's twins.
   void copy_weights_from(Network& other);
 
-  /// Flattens all parameter values into one vector (checkpointing).
+  /// Flattens all parameter values, then the state, into one vector
+  /// (checkpointing, the pipeline's rollback copy).  A network without
+  /// batch norm has no state, so its vector is the parameters alone.
   [[nodiscard]] std::vector<float> save_weights();
 
-  /// Restores parameter values saved by save_weights().
+  /// Restores a vector saved by save_weights().  Also accepts the
+  /// parameters alone, as saved before the state was: the state then keeps
+  /// its current values.
   void load_weights(const std::vector<float>& weights);
 
  private:

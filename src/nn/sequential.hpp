@@ -69,6 +69,14 @@ class Sequential : public Layer {
     return ps;
   }
 
+  std::vector<Tensor*> state() override {
+    std::vector<Tensor*> ts;
+    for (auto& layer : layers_) {
+      for (auto* t : layer->state()) ts.push_back(t);
+    }
+    return ts;
+  }
+
   void quantize_for_inference() override {
     for (auto& layer : layers_) layer->quantize_for_inference();
   }

@@ -1,6 +1,6 @@
 // ModelRegistry: checkpoint-driven instantiation (v2 self-describing, v1
 // with explicit arch), metadata mismatch rejection, version bumping, and
-// replica consistency across slots.
+// replica consistency across slots, batch-norm running statistics included.
 #include "serve/model_registry.hpp"
 
 #include <gtest/gtest.h>
@@ -60,6 +60,46 @@ TEST(ModelRegistry, LoadsSelfDescribingV2Checkpoint) {
   const std::vector<int> want = nn::predict_batch(*fitted, batch);
   EXPECT_EQ(model->predict(batch, 0), want);
   EXPECT_EQ(model->predict(batch, 1), want);
+}
+
+TEST(ModelRegistry, ServesBatchNormModelsWithTheirRunningStatistics) {
+  // Every replica is a weight copy, so a batch-norm member must carry its
+  // running statistics into each slot, and so must a checkpoint load.
+  const models::ModelConfig config = small_config();
+  Rng rng(13);
+  auto fitted = models::build_model(models::Arch::kResNet18, config, rng);
+  for (int b = 0; b < 5; ++b) {
+    Tensor x = test_batch(8, 100 + b);
+    for (float& v : x.flat()) v = 3.0F * v + 2.0F;
+    (void)fitted->logits(x, /*training=*/true);
+  }
+  const Tensor batch = test_batch(16);
+  const std::vector<int> want = nn::predict_batch(*fitted, batch);
+  // The same parameters with freshly built statistics predict other classes
+  // for this batch, so a replica that lost them fails the checks below.
+  std::vector<float> parameters;
+  for (const nn::Parameter* p : fitted->parameters()) {
+    parameters.insert(parameters.end(), p->value.flat().begin(), p->value.flat().end());
+  }
+  Rng fresh_rng(14);
+  auto stale = models::build_model(models::Arch::kResNet18, config, fresh_rng);
+  stale->load_weights(parameters);
+  EXPECT_NE(nn::predict_batch(*stale, batch), want);
+  const TempFile file("registry_bn.ckpt");
+  nn::save_checkpoint(*fitted, file.path,
+                      models::checkpoint_meta(models::Arch::kResNet18, config));
+
+  ModelRegistry registry(/*replica_slots=*/2);
+  std::vector<MemberInit> members;
+  members.push_back({models::make_factory(models::Arch::kResNet18, config), std::move(fitted)});
+  registry.install("installed", std::move(members));
+  registry.load("loaded", file.path);
+  for (const char* name : {"installed", "loaded"}) {
+    auto model = registry.current(name);
+    ASSERT_NE(model, nullptr);
+    EXPECT_EQ(model->predict(batch, 0), want) << name;
+    EXPECT_EQ(model->predict(batch, 1), want) << name;
+  }
 }
 
 TEST(ModelRegistry, V3QuantizeFlagAutoQuantizesOnLoad) {
