@@ -152,8 +152,7 @@ void vgg_block(Sequential& body, std::size_t convs, std::size_t in_c,
                std::size_t out_c, std::size_t hw, bool pool, Rng& rng) {
   for (std::size_t i = 0; i < convs; ++i) {
     body.emplace<Conv2D>(i == 0 ? in_c : out_c, out_c, hw, hw, 3, 1, 1, rng);
-    body.emplace<BatchNorm2D>(out_c);
-    body.emplace<ReLU>();
+    body.emplace<BatchNorm2D>(out_c, /*fuse_relu=*/true);
   }
   if (pool) body.emplace<MaxPool2D>(2);
 }
@@ -199,8 +198,7 @@ std::unique_ptr<Sequential> resnet18_body(const ModelConfig& c, Rng& rng) {
   const std::size_t w = c.width;
   auto body = std::make_unique<Sequential>();
   body->emplace<Conv2D>(c.in_channels, w, 16, 16, 3, 1, 1, rng);
-  body->emplace<BatchNorm2D>(w);
-  body->emplace<ReLU>();
+  body->emplace<BatchNorm2D>(w, /*fuse_relu=*/true);
   body->emplace<ResidualBasicBlock>(w, w, 16, 16, 1, rng);
   body->emplace<ResidualBasicBlock>(w, w, 16, 16, 1, rng);
   body->emplace<ResidualBasicBlock>(w, 2 * w, 16, 16, 2, rng);   // -> 8
@@ -220,8 +218,7 @@ std::unique_ptr<Sequential> resnet50_body(const ModelConfig& c, Rng& rng) {
   const std::size_t w = c.width;
   auto body = std::make_unique<Sequential>();
   body->emplace<Conv2D>(c.in_channels, w, 16, 16, 3, 1, 1, rng);
-  body->emplace<BatchNorm2D>(w);
-  body->emplace<ReLU>();
+  body->emplace<BatchNorm2D>(w, /*fuse_relu=*/true);
   // Stage 1: 3 blocks, mid w, out 2w, 16x16.
   body->emplace<BottleneckBlock>(w, w, 2 * w, 16, 16, 1, rng);
   body->emplace<BottleneckBlock>(2 * w, w, 2 * w, 16, 16, 1, rng);
@@ -251,8 +248,7 @@ std::unique_ptr<Sequential> mobilenet_body(const ModelConfig& c, Rng& rng) {
   const std::size_t w = c.width;
   auto body = std::make_unique<Sequential>();
   body->emplace<Conv2D>(c.in_channels, w, 16, 16, 3, 1, 1, rng);
-  body->emplace<BatchNorm2D>(w);
-  body->emplace<ReLU>();
+  body->emplace<BatchNorm2D>(w, /*fuse_relu=*/true);
   body->emplace<SeparableConvBlock>(w, 2 * w, 16, 16, 1, rng);
   body->emplace<SeparableConvBlock>(2 * w, 2 * w, 16, 16, 2, rng);  // -> 8
   body->emplace<SeparableConvBlock>(2 * w, 4 * w, 8, 8, 1, rng);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "../test_util.hpp"
 #include "nn/activation.hpp"
@@ -286,28 +288,102 @@ TEST(BatchNorm, EvalForwardKeepsNoBackwardState) {
   // Eval mode normalises with the running statistics, so its output is not
   // the training-mode one; it must still drop the training cache.  Before,
   // backward after an eval forward on a larger batch read past the smaller
-  // training batch's cache.
-  Rng rng(326);
-  BatchNorm2D bn(3);
-  const Tensor small = random_tensor(Shape{2, 3, 4, 4}, rng);
-  const Tensor large = random_tensor(Shape{8, 3, 4, 4}, rng);
-  (void)bn.forward(small, true);
-  EXPECT_NO_THROW((void)bn.backward(random_tensor(Shape{2, 3, 4, 4}, rng)));
-  (void)bn.forward(small, true);
-  const Tensor y = bn.forward(large, false);
-  EXPECT_EQ(y.shape(), large.shape());
-  EXPECT_THROW((void)bn.backward(random_tensor(Shape{8, 3, 4, 4}, rng)),
-               InvariantError);
+  // training batch's cache.  The fused ReLU's mask goes with it.
+  for (const bool fuse_relu : {false, true}) {
+    Rng rng(326);
+    BatchNorm2D bn(3, fuse_relu);
+    const Tensor small = random_tensor(Shape{2, 3, 4, 4}, rng);
+    const Tensor large = random_tensor(Shape{8, 3, 4, 4}, rng);
+    (void)bn.forward(small, true);
+    EXPECT_NO_THROW((void)bn.backward(random_tensor(Shape{2, 3, 4, 4}, rng)));
+    (void)bn.forward(small, true);
+    const Tensor y = bn.forward(large, false);
+    EXPECT_EQ(y.shape(), large.shape());
+    EXPECT_THROW((void)bn.backward(random_tensor(Shape{8, 3, 4, 4}, rng)),
+                 InvariantError)
+        << "fuse_relu " << fuse_relu;
+  }
 }
 
 TEST(BatchNorm, BackwardChecksGradientShape) {
-  Rng rng(327);
-  BatchNorm2D bn(3);
-  (void)bn.forward(random_tensor(Shape{2, 3, 4, 4}, rng), true);
-  EXPECT_THROW((void)bn.backward(random_tensor(Shape{8, 3, 4, 4}, rng)),
-               InvariantError);
-  EXPECT_THROW((void)bn.backward(random_tensor(Shape{2, 3, 2, 2}, rng)),
-               InvariantError);
+  for (const bool fuse_relu : {false, true}) {
+    Rng rng(327);
+    BatchNorm2D bn(3, fuse_relu);
+    (void)bn.forward(random_tensor(Shape{2, 3, 4, 4}, rng), true);
+    EXPECT_THROW((void)bn.backward(random_tensor(Shape{8, 3, 4, 4}, rng)),
+                 InvariantError);
+    EXPECT_THROW((void)bn.backward(random_tensor(Shape{2, 3, 2, 2}, rng)),
+                 InvariantError);
+  }
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(BatchNorm, FusedReluMatchesBatchNormThenReluBitForBit) {
+  // The fused layer must be BatchNorm2D followed by ReLU, bit for bit:
+  // training output, input gradient, gamma/beta gradients, running
+  // statistics and the eval output, over 1-256 px planes and channel runs
+  // with and without a partial last run.  Some channels carry -0, +-Inf or
+  // NaN in the input or the gradient.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  for (const std::size_t hw : {1, 2, 4, 8, 16}) {
+    for (const std::size_t channels : {1, 3, 8, 13, 64}) {
+      Rng rng(hw * 100 + channels);
+      const Shape shape{4, channels, hw, hw};
+      const std::size_t plane = hw * hw;
+      Tensor x = random_tensor(shape, rng);
+      Tensor dy = random_tensor(shape, rng);
+      for (std::size_t c = 0; c < channels; ++c) {
+        float* xc = x.data() + c * plane;  // image 0
+        float* dc = dy.data() + (channels + c) * plane;  // image 1
+        switch (c % 5) {
+          case 1: xc[0] = -0.0F; dc[0] = -0.0F; break;
+          case 2: xc[plane - 1] = kInf; break;
+          case 3: xc[0] = -kInf; dc[plane - 1] = kNaN; break;
+          case 4: xc[plane / 2] = kNaN; break;
+          default: break;
+        }
+      }
+      BatchNorm2D fused(channels, /*fuse_relu=*/true);
+      BatchNorm2D bn(channels);
+      ReLU relu;
+      for (Parameter* p : bn.parameters()) {
+        for (float& v : p->value.flat()) v = rng.normal();
+      }
+      const auto src = bn.parameters();
+      const auto dst = fused.parameters();
+      for (std::size_t i = 0; i < src.size(); ++i) dst[i]->value = src[i]->value;
+      const std::string what = std::to_string(channels) + "ch " + std::to_string(hw) +
+                               "x" + std::to_string(hw);
+      for (int step = 0; step < 2; ++step) {
+        EXPECT_TRUE(same_bits(fused.forward(x, true), relu.forward(bn.forward(x, true), true)))
+            << "forward, " << what;
+        EXPECT_TRUE(same_bits(fused.backward(dy), bn.backward(relu.backward(dy))))
+            << "input gradient, " << what;
+      }
+      for (std::size_t i = 0; i < src.size(); ++i) {
+        EXPECT_TRUE(same_bits(dst[i]->grad, src[i]->grad)) << "gradient " << i << ", " << what;
+      }
+      const auto state = bn.state();
+      const auto fused_state = fused.state();
+      ASSERT_EQ(state.size(), 2U);
+      for (std::size_t i = 0; i < state.size(); ++i) {
+        EXPECT_TRUE(same_bits(*fused_state[i], *state[i])) << "state " << i << ", " << what;
+      }
+      EXPECT_TRUE(same_bits(fused.forward(x, false), relu.forward(bn.forward(x, false), false)))
+          << "eval forward, " << what;
+    }
+  }
+}
+
+TEST(BatchNorm, FusedReluKeepsTheBatchNormName) {
+  // perfbench folds layer spans by the name's prefix up to '('.
+  EXPECT_EQ(BatchNorm2D(8, /*fuse_relu=*/true).name(), "BatchNorm2D(8, ReLU)");
+  EXPECT_EQ(BatchNorm2D(8).name(), "BatchNorm2D(8)");
 }
 
 TEST(Sequential, ComposesAndExposesParameters) {
