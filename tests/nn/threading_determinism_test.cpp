@@ -119,6 +119,14 @@ TEST(ThreadingDeterminism, DepthwiseConvIsThreadCountInvariant) {
   });
 }
 
+TEST(ThreadingDeterminism, DepthwiseChannelRunsAreThreadCountInvariant) {
+  // 20 channels: two full 8-channel runs and a 4-channel tail run, the
+  // backward's parallel units, split unevenly over 4 threads.
+  expect_layer_thread_invariant(Shape{5, 20, 4, 4}, 37, [](Rng& rng) {
+    return nn::DepthwiseConv2D(20, 4, 4, 3, 1, 1, rng);
+  });
+}
+
 TEST(ThreadingDeterminism, StridedDepthwiseConvIsThreadCountInvariant) {
   // Odd input plane: the stride-2 window leaves the last column unread.
   expect_layer_thread_invariant(Shape{7, 6, 9, 9}, 31, [](Rng& rng) {
@@ -185,7 +193,9 @@ TEST(ThreadingDeterminism, TrainedConvNetIsBitIdenticalAcrossThreadCounts) {
 }
 
 // MobileNet runs every depthwise kernel entry and grouped pointwise convs on
-// its 4x4 and 2x2 planes.
+// its 4x4 and 2x2 planes; at width 4 its first depthwise layer and
+// BatchNorm2D layers are 4-channel tail runs.  save_weights() includes the
+// running statistics.
 TEST(ThreadingDeterminism, TrainedMobileNetIsBitIdenticalAcrossThreadCounts) {
   expect_training_thread_invariant(models::Arch::kMobileNet);
 }
