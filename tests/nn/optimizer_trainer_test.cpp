@@ -249,8 +249,14 @@ TEST(Train, ConvNetWeightsMatchPinnedDigestsAtEveryTable) {
   // optimiser) on 64 fixed images.  Every decision log and report digest is
   // only compared run against run, so this is what fails when a training
   // kernel drifts by one ulp.
-  //  - ConvNet hashes its parameters; recorded before the register-blocked
-  //    avx2 tn kernel and the block-copy im2col/col2im.
+  //  - ConvNet and DeconvNet (Conv2D then ReLU, max pooling, dropout in
+  //    DeconvNet) hash their parameters and then the eval-mode logits of the
+  //    64 images; recorded before the fused Conv2D->ReLU epilogue, the
+  //    L1-blocked avx2 nt, the gather col2im and the branch-free max pooling.
+  //    ConvNet's first values hashed its parameters alone (recorded before
+  //    the register-blocked avx2 tn kernel and the block-copy im2col/col2im);
+  //    they were re-recorded, on the same code, when its logits joined the
+  //    hash.
   //  - MobileNet (depthwise, BatchNorm2D then ReLU, 4-px planes) and VGG11
   //    (BatchNorm2D on 1-px planes, no depthwise) hash their parameters and
   //    then the eval-mode logits of the 64 images, so the running statistics
@@ -272,9 +278,12 @@ TEST(Train, ConvNetWeightsMatchPinnedDigestsAtEveryTable) {
   using models::Arch;
   using kernels::KernelKind;
   const Pinned pinned[] = {
-      {Arch::kConvNet, KernelKind::kScalar, 0xa9ad598d8230a29aULL},
-      {Arch::kConvNet, KernelKind::kSse2, 0x477d6d2920e467d3ULL},
-      {Arch::kConvNet, KernelKind::kAvx2, 0x02c035440f45fff6ULL},
+      {Arch::kConvNet, KernelKind::kScalar, 0x1d24bfc967a7ef25ULL},
+      {Arch::kConvNet, KernelKind::kSse2, 0xd9e2b6e5a236cb11ULL},
+      {Arch::kConvNet, KernelKind::kAvx2, 0xb97d98185d5117a7ULL},
+      {Arch::kDeconvNet, KernelKind::kScalar, 0x3d95dfc684df7bf3ULL},
+      {Arch::kDeconvNet, KernelKind::kSse2, 0x305c3f7d397ef3a1ULL},
+      {Arch::kDeconvNet, KernelKind::kAvx2, 0x656560f04a1715b8ULL},
       {Arch::kMobileNet, KernelKind::kScalar, 0x7dce786d4df2c26cULL},
       {Arch::kMobileNet, KernelKind::kSse2, 0xbf3f175a0fca4061ULL},
       {Arch::kMobileNet, KernelKind::kAvx2, 0x459ec801e7139bf5ULL},
@@ -313,11 +322,9 @@ TEST(Train, ConvNetWeightsMatchPinnedDigestsAtEveryTable) {
       bytes.append(reinterpret_cast<const char*>(param->value.data()),
                    param->value.numel() * sizeof(float));
     }
-    if (p.arch != Arch::kConvNet) {
-      const Tensor logits = net->logits(images, /*training=*/false);
-      bytes.append(reinterpret_cast<const char*>(logits.data()),
-                   logits.numel() * sizeof(float));
-    }
+    const Tensor logits = net->logits(images, /*training=*/false);
+    bytes.append(reinterpret_cast<const char*>(logits.data()),
+                 logits.numel() * sizeof(float));
     const std::uint64_t digest = core::fnv1a64(bytes);
     EXPECT_EQ(digest, p.digest) << models::arch_name(p.arch) << " "
                                 << kernels::kernel_name(p.kind) << std::hex
