@@ -105,17 +105,16 @@ void check_config(const ModelConfig& c) {
   TDFM_CHECK(c.num_classes >= 2, "need at least two classes");
 }
 
-// ConvNet: 3 conv + 3 FC + max pooling (moderate depth).
+// ConvNet: 3 conv + 3 FC + max pooling (moderate depth).  Every Conv2D runs
+// the ReLU that follows it fused (Conv2D's fuse_relu).
 std::unique_ptr<Sequential> convnet_body(const ModelConfig& c, Rng& rng) {
   const std::size_t w = c.width;
+  constexpr bool kReLU = true;
   auto body = std::make_unique<Sequential>();
-  body->emplace<Conv2D>(c.in_channels, w, 16, 16, 3, 1, 1, rng);
-  body->emplace<ReLU>();
-  body->emplace<Conv2D>(w, 2 * w, 16, 16, 3, 1, 1, rng);
-  body->emplace<ReLU>();
+  body->emplace<Conv2D>(c.in_channels, w, 16, 16, 3, 1, 1, rng, kReLU);
+  body->emplace<Conv2D>(w, 2 * w, 16, 16, 3, 1, 1, rng, kReLU);
   body->emplace<MaxPool2D>(2);  // -> 8x8
-  body->emplace<Conv2D>(2 * w, 2 * w, 8, 8, 3, 1, 1, rng);
-  body->emplace<ReLU>();
+  body->emplace<Conv2D>(2 * w, 2 * w, 8, 8, 3, 1, 1, rng, kReLU);
   body->emplace<MaxPool2D>(2);  // -> 4x4
   body->emplace<Flatten>();
   body->emplace<Dense>(2 * w * 16, 8 * w, rng);
@@ -126,19 +125,17 @@ std::unique_ptr<Sequential> convnet_body(const ModelConfig& c, Rng& rng) {
   return body;
 }
 
-// DeconvNet: 4 conv + 2 FC with 0.5 dropout (moderate depth).
+// DeconvNet: 4 conv + 2 FC with 0.5 dropout (moderate depth), each Conv2D
+// with its ReLU fused.
 std::unique_ptr<Sequential> deconvnet_body(const ModelConfig& c, Rng& rng) {
   const std::size_t w = c.width;
+  constexpr bool kReLU = true;
   auto body = std::make_unique<Sequential>();
-  body->emplace<Conv2D>(c.in_channels, w, 16, 16, 3, 1, 1, rng);
-  body->emplace<ReLU>();
-  body->emplace<Conv2D>(w, w, 16, 16, 3, 1, 1, rng);
-  body->emplace<ReLU>();
+  body->emplace<Conv2D>(c.in_channels, w, 16, 16, 3, 1, 1, rng, kReLU);
+  body->emplace<Conv2D>(w, w, 16, 16, 3, 1, 1, rng, kReLU);
   body->emplace<MaxPool2D>(2);  // -> 8x8
-  body->emplace<Conv2D>(w, 2 * w, 8, 8, 3, 1, 1, rng);
-  body->emplace<ReLU>();
-  body->emplace<Conv2D>(2 * w, 2 * w, 8, 8, 3, 1, 1, rng);
-  body->emplace<ReLU>();
+  body->emplace<Conv2D>(w, 2 * w, 8, 8, 3, 1, 1, rng, kReLU);
+  body->emplace<Conv2D>(2 * w, 2 * w, 8, 8, 3, 1, 1, rng, kReLU);
   body->emplace<MaxPool2D>(2);  // -> 4x4
   body->emplace<Flatten>();
   body->emplace<Dense>(2 * w * 16, 6 * w, rng);
