@@ -1,6 +1,6 @@
 // An 8x8 float transpose in AVX registers, shared by the translation units
 // that lay channels side by side in vector lanes (kernels/depthwise_avx2.cpp,
-// nn/batchnorm_lanes.cpp).  Include it only where __AVX2__ is defined.
+// nn/channel_lanes.cpp).  Include it only where __AVX2__ is defined.
 #pragma once
 
 #include <immintrin.h>

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "nn/batchnorm_lanes.hpp"
+#include "nn/channel_lanes.hpp"
 
 namespace tdfm::nn {
 
@@ -61,10 +61,10 @@ Tensor BatchNorm2D::forward(const Tensor& input, bool training) {
   if (relu_) relu_mask_.resize(input.numel());
   // The statistics of kLanes channels side by side, each lane the
   // sequential double chain over (image, pixel) of the per-channel loop.
-  for (std::size_t c0 = 0; c0 < channels_; c0 += bn_lanes::kLanes) {
-    const std::size_t lanes = std::min(bn_lanes::kLanes, channels_ - c0);
-    double sums[bn_lanes::kLanes], sqs[bn_lanes::kLanes];
-    bn_lanes::moments(input.data(), batch, channels_, plane, c0, lanes, sums, sqs);
+  for (std::size_t c0 = 0; c0 < channels_; c0 += channel_lanes::kLanes) {
+    const std::size_t lanes = std::min(channel_lanes::kLanes, channels_ - c0);
+    double sums[channel_lanes::kLanes], sqs[channel_lanes::kLanes];
+    channel_lanes::moments(input.data(), batch, channels_, plane, c0, lanes, sums, sqs);
     for (std::size_t l = 0; l < lanes; ++l) {
       const std::size_t c = c0 + l;
       const float mean = static_cast<float>(sums[l] / per_ch);
@@ -132,9 +132,9 @@ Tensor BatchNorm2D::backward(const Tensor& grad_output) {
     dy = masked;
   }
   const float* xh = normalized_.data();
-  float sums_dy[bn_lanes::kLanes], sums_dy_xh[bn_lanes::kLanes];
-  for (std::size_t c0 = 0; c0 < channels_; c0 += bn_lanes::kLanes) {
-    const std::size_t lanes = std::min(bn_lanes::kLanes, channels_ - c0);
+  float sums_dy[channel_lanes::kLanes], sums_dy_xh[channel_lanes::kLanes];
+  for (std::size_t c0 = 0; c0 < channels_; c0 += channel_lanes::kLanes) {
+    const std::size_t lanes = std::min(channel_lanes::kLanes, channels_ - c0);
     // GCC 12 at -O3 -march=native compiled the per-channel loop's
     // sum_dy_xh += dy * x_hat to vector products followed by in-order scalar
     // adds (no FMA) in its vectorized body, which covers every plane that
@@ -143,7 +143,8 @@ Tensor BatchNorm2D::backward(const Tensor& grad_output) {
     // rounded before the add on multiple-of-8 planes, the per-channel loop
     // itself on the others.
     if (plane % 8 == 0) {
-      bn_lanes::grad_sums(dy, xh, batch, channels_, plane, c0, lanes, sums_dy, sums_dy_xh);
+      channel_lanes::grad_sums(dy, xh, batch, channels_, plane, c0, lanes, sums_dy,
+                               sums_dy_xh);
     } else {
       for (std::size_t l = 0; l < lanes; ++l) {
         float sum_dy = 0.0F;
