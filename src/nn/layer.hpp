@@ -51,6 +51,13 @@ class Layer {
   /// parameter gradients.  Must be called after forward() on the same batch.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// Tells the layer that nothing reads the input gradient backward()
+  /// returns: it runs first in a Network's body, whose input gradient
+  /// Network::backward discards.  A layer may then skip computing it and
+  /// return an empty tensor; its parameter gradients keep every bit.
+  /// Composite layers pass it to their first layer; default: ignored.
+  virtual void discard_input_grad() {}
+
   /// Trainable parameters (empty for stateless layers).  Non-owning.
   virtual std::vector<Parameter*> parameters() { return {}; }
 

@@ -17,6 +17,7 @@ class Network {
   Network(std::string name, std::unique_ptr<Sequential> body, std::size_t num_classes)
       : name_(std::move(name)), body_(std::move(body)), num_classes_(num_classes) {
     TDFM_CHECK(body_ != nullptr, "network body must not be null");
+    body_->discard_input_grad();  // backward() never reads it
   }
 
   /// Forward pass to logits; `training` toggles dropout/batch-norm mode.

@@ -61,6 +61,10 @@ class Sequential : public Layer {
     return g;
   }
 
+  void discard_input_grad() override {
+    if (!layers_.empty()) layers_.front()->discard_input_grad();
+  }
+
   std::vector<Parameter*> parameters() override {
     std::vector<Parameter*> ps;
     for (auto& layer : layers_) {
