@@ -4,11 +4,11 @@
 // quantization and the q8_0 quantized matmul, over degenerate shapes
 // (m/n/k = 1, reduction lengths straddling the 32-element q8 block size)
 // plus randomized shapes, and im2row against im2col at every model-zoo conv
-// geometry.  Each table's tn entry is also held bit for bit to the loop it
-// replaced (tn_parent_loops.hpp).  Also pins the determinism contract from
-// kernels/kernels.hpp: within one kernel choice, results are bit-identical
-// across row partitions and thread counts; the q8 entries are bit-identical
-// across kernel choices too.
+// geometry.  Each table's tn entry and the avx2 nt entry are also held bit
+// for bit to the loops they replaced (gemm_parent_loops.hpp).  Also pins the
+// determinism contract from kernels/kernels.hpp: within one kernel choice,
+// results are bit-identical across row partitions and thread counts; the q8
+// entries are bit-identical across kernel choices too.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -25,7 +25,7 @@
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 #include "tensor/qgemm.hpp"
-#include "tn_parent_loops.hpp"
+#include "gemm_parent_loops.hpp"
 
 namespace tdfm {
 namespace {
@@ -125,7 +125,7 @@ TEST(KernelChecker, RowPartitionIsBitIdentical) {
   }
 }
 
-/// The parent loop of `kind`'s tn entry (tn_parent_loops.hpp).
+/// The parent loop of `kind`'s tn entry (gemm_parent_loops.hpp).
 kernels::GemmRowsFn tn_parent(kernels::KernelKind kind) {
   switch (kind) {
     case kernels::KernelKind::kScalar: return kernels_test::tn_parent_scalar;
@@ -229,6 +229,85 @@ TEST(KernelChecker, TnMatchesParentLoopBitForBit) {
     a[4 * m + 2] = 0.0F;
     a[1 * m + 9] = -0.0F;
     expect_tn_matches_parent(m, n, k, a.data(), b.data(), c0.data(), "underflow zeros");
+  }
+}
+
+/// Runs the avx2 nt entry and its parent loop (gemm_parent_loops.hpp) on
+/// the same operands, accumulate off and on, whole and in row chunks, and
+/// compares C plus 8 guard floats past its end with memcmp.  The scalar and
+/// sse2 nt entries are the parent loops themselves.
+void expect_nt_matches_parent(std::size_t m, std::size_t n, std::size_t k,
+                              const float* a, const float* b, const float* c0,
+                              const std::string& what) {
+  if (!kernels::kernel_supported(kernels::KernelKind::kAvx2)) return;
+  const kernels::GemmRowsFn nt = kernels::kernel_table(kernels::KernelKind::kAvx2).nt;
+  for (const bool accumulate : {false, true}) {
+    std::vector<float> want(c0, c0 + m * n);
+    want.resize(m * n + 8, std::numeric_limits<float>::quiet_NaN());
+    std::vector<float> got = want;
+    std::vector<float> chunked = want;
+    kernels_test::nt_parent_avx2(0, m, m, n, k, a, b, want.data(), accumulate);
+    nt(0, m, m, n, k, a, b, got.data(), accumulate);
+    for (std::size_t r0 = 0; r0 < m; r0 += 7) {
+      nt(r0, std::min(m, r0 + 7), m, n, k, a, b, chunked.data(), accumulate);
+    }
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+        << (accumulate ? "+acc " : "") << what << " m=" << m << " n=" << n << " k=" << k;
+    EXPECT_EQ(0, std::memcmp(chunked.data(), want.data(), got.size() * sizeof(float)))
+        << "row chunks " << (accumulate ? "+acc " : "") << what << " m=" << m
+        << " n=" << n << " k=" << k;
+  }
+}
+
+TEST(KernelChecker, NtMatchesParentLoopBitForBit) {
+  // The avx2 nt entry runs row blocks of A, 4-column tiles of B inside them
+  // and rows innermost; every element must keep the parent row-by-row
+  // loop's nt_cols chain.  k runs through every tail of the 16- and 8-wide
+  // steps, n through every column tail; the zoo's shapes and long rows make
+  // several row blocks.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(72);
+  for (const std::size_t k : {1, 7, 8, 9, 15, 16, 17, 33}) {
+    for (std::size_t m = 1; m <= 19; m += 3) {
+      for (std::size_t n = 1; n <= 9; ++n) {
+        const auto a = random_matrix(m * k, rng);
+        const auto b = random_matrix(n * k, rng);
+        const auto c0 = random_matrix(m * n, rng);
+        expect_nt_matches_parent(m, n, k, a.data(), b.data(), c0.data(), "tails");
+      }
+    }
+  }
+  // Conv2D's weight gradients dY * patches^T (out_c x pr x cols at width 8,
+  // the 1x1 layers' image groups) and ConvNet's Dense forward (batch 32),
+  // then rows of 1040 and 5000 floats (3 rows and 1 row per block).
+  for (const GemmShape& s : {GemmShape{8, 27, 256}, GemmShape{16, 72, 256},
+                             GemmShape{16, 144, 64}, GemmShape{64, 64, 64},
+                             GemmShape{128, 128, 64}, GemmShape{32, 64, 256},
+                             GemmShape{64, 32, 64}, GemmShape{37, 10, 1040},
+                             GemmShape{5, 6, 5000}}) {
+    auto a = random_matrix(s.m * s.k, rng);
+    auto b = random_matrix(s.n * s.k, rng);
+    const auto c0 = random_matrix(s.m * s.n, rng);
+    expect_nt_matches_parent(s.m, s.n, s.k, a.data(), b.data(), c0.data(), "zoo");
+    // Signed zeros, infinities and NaN in both operands, in the vector body
+    // and the scalar tail of a row.
+    const float specials[] = {0.0F, -0.0F, kInf, -kInf, kNaN};
+    for (std::size_t i = 0; i < std::size(specials); ++i) {
+      a[(i * 131) % a.size()] = specials[i];
+      b[(i * 97 + s.k - 1) % b.size()] = specials[(i + 2) % std::size(specials)];
+    }
+    expect_nt_matches_parent(s.m, s.n, s.k, a.data(), b.data(), c0.data(), "specials");
+  }
+  // Products that underflow to -0 onto a C of -0, and rows of exact zeros.
+  {
+    const std::size_t m = 11, n = 7, k = 21;
+    std::vector<float> a(m * k), b(n * k);
+    for (std::size_t i = 0; i < a.size(); ++i) a[i] = i % 3 == 0 ? 1e-30F : -1e-30F;
+    for (std::size_t i = 0; i < b.size(); ++i) b[i] = i % 5 == 0 ? -1e-30F : 1e-30F;
+    for (std::size_t p = 0; p < k; ++p) a[4 * k + p] = p % 2 == 0 ? 0.0F : -0.0F;
+    const std::vector<float> c0(m * n, -0.0F);
+    expect_nt_matches_parent(m, n, k, a.data(), b.data(), c0.data(), "underflow");
   }
 }
 
