@@ -14,20 +14,20 @@ namespace {
 constexpr KernelTable kScalarTable{
     gemm_nn_rows_scalar,   gemm_nt_rows_scalar,   gemm_tn_rows_scalar,
     gemm_q8_rows_scalar,   quantize_q8_rows_scalar, dw_forward_scalar,
-    dw_input_grad_scalar,  dw_weight_grad_scalar};
+    dw_input_grad_scalar,  dw_weight_grad_scalar, col2im_s1_scalar};
 // SSE2 has no efficient int8 widening (needs SSE4.1) and no float trunc
 // (SSE4.1 round), so its q8 entries are the scalar ones — q8 results are
 // exact either way, the choice is pure speed.  Its depthwise entries are the
 // scalar ones too: a 4-lane run would double the channel-lane code for a
-// table no end-to-end number runs.
+// table no end-to-end number runs.  So is its col2im gather.
 constexpr KernelTable kSse2Table{
     gemm_nn_rows_sse2,     gemm_nt_rows_sse2,     gemm_tn_rows_sse2,
     gemm_q8_rows_scalar,   quantize_q8_rows_scalar, dw_forward_scalar,
-    dw_input_grad_scalar,  dw_weight_grad_scalar};
+    dw_input_grad_scalar,  dw_weight_grad_scalar, col2im_s1_scalar};
 constexpr KernelTable kAvx2Table{
     gemm_nn_rows_avx2,     gemm_nt_rows_avx2,     gemm_tn_rows_avx2,
     gemm_q8_rows_avx2,     quantize_q8_rows_avx2, dw_forward_avx2,
-    dw_input_grad_avx2,    dw_weight_grad_avx2};
+    dw_input_grad_avx2,    dw_weight_grad_avx2,   col2im_s1_avx2};
 
 // -1 = not yet resolved.  Resolution is idempotent (env + cpuid are fixed),
 // so a racing first call is benign: both writers store the same value.

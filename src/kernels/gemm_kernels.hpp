@@ -2,10 +2,10 @@
 //
 // One symbol set per TU (gemm_{scalar,sse2,avx2}.cpp, which also hold the
 // q8 matmuls and the avx2 quantizer, quant.cpp with the scalar quantizer,
-// and depthwise_{scalar,avx2}.cpp) so each can carry its own compile flags;
-// dispatch.cpp assembles them into the public KernelTables.  On non-x86
-// targets the sse2/avx2 TUs compile as forwarders to the scalar kernels (and
-// cpuid reports them unsupported).
+// depthwise_{scalar,avx2}.cpp and col2im_{scalar,avx2}.cpp) so each can
+// carry its own compile flags; dispatch.cpp assembles them into the public
+// KernelTables.  On non-x86 targets the sse2/avx2 TUs compile as forwarders
+// to the scalar kernels (and cpuid reports them unsupported).
 #pragma once
 
 #include <cstddef>
@@ -24,6 +24,18 @@ struct DwLaneLayout {
 };
 
 [[nodiscard]] DwLaneLayout dw_lane_layout(const DwGeometry& g);
+
+/// Taps [first, last) of a k-tap stride-1 filter that read input index s
+/// from an in-plane output: those t whose output s + pad - t lies in
+/// [0, out).  Empty when first >= last.
+struct TapRange {
+  std::size_t first, last;
+};
+[[nodiscard]] inline TapRange tap_range(std::size_t s, std::size_t pad,
+                                        std::size_t k, std::size_t out) {
+  const std::size_t sp = s + pad;
+  return {sp >= out ? sp + 1 - out : 0, sp + 1 < k ? sp + 1 : k};
+}
 
 void gemm_nn_rows_scalar(std::size_t r0, std::size_t r1, std::size_t m,
                          std::size_t n, std::size_t k, const float* a,
@@ -68,6 +80,13 @@ void gemm_q8_rows_avx2(std::size_t r0, std::size_t r1, std::size_t n,
                        std::size_t blocks, const std::int8_t* aq,
                        const float* as, const std::int8_t* bq,
                        const float* bs, float* c);
+
+void col2im_s1_scalar(const DwGeometry& g, std::size_t channels,
+                      const float* columns, std::size_t row_stride,
+                      float* image_grad);
+void col2im_s1_avx2(const DwGeometry& g, std::size_t channels,
+                    const float* columns, std::size_t row_stride,
+                    float* image_grad);
 
 void dw_forward_scalar(const DwGeometry& g, std::size_t lanes, const float* in,
                        const float* run, float* out, float* scratch);

@@ -2,8 +2,8 @@
 //
 // tdfm::kernels is a leaf library (no tdfm dependencies) holding the
 // hand-vectorized inner loops behind tensor/gemm.hpp, tensor/qgemm.hpp, q8_0
-// quantization (kernels/quant.hpp) and the depthwise convolution
-// (nn::DepthwiseConv2D).
+// quantization (kernels/quant.hpp), the depthwise convolution
+// (nn::DepthwiseConv2D) and col2im's stride-1 path (tensor/im2col.hpp).
 // One implementation table exists per instruction set:
 //
 //   scalar  the reference: plain loops, vectorization and FP contraction
@@ -37,6 +37,10 @@
 // same table's nn kernel (resp. tn kernel + col2im); the weight gradient is
 // a dot product of each table's own reduction shape (scalar: the
 // sequential sum, identical to the nt kernel).
+//
+// The stride-1 col2im gather adds only, in a fixed order per element, so
+// its bits are the same at every table; avx2 runs it 8 pixels per vector.
+// Its plane geometry is DwGeometry, one channel of a convolution.
 #pragma once
 
 #include <cstddef>
@@ -129,6 +133,17 @@ using DwWeightGradFn = void (*)(const DwGeometry& g, std::size_t lanes,
                                 const float* in, const float* gout,
                                 float* dfilter, float* dbias, float* scratch);
 
+/// Stride-1 col2im (tdfm::col2im) of `channels` planes of geometry `g`
+/// (g.stride is 1): the patch matrix's tap row (c, ky, kx) starts at
+/// columns + ((c * k + ky) * k + kx) * row_stride and holds the out_h*out_w
+/// cells of one image.  Every element of image_grad[c, y, x] adds, to its
+/// value on entry, the cell of each tap that reads it from an in-plane
+/// output pixel, in (ky, kx) order, and is stored once; taps that read it
+/// from the padding are not added at all.  Bit-identical at every table.
+using Col2ImFn = void (*)(const DwGeometry& g, std::size_t channels,
+                          const float* columns, std::size_t row_stride,
+                          float* image_grad);
+
 struct KernelTable {
   GemmRowsFn nn;
   GemmRowsFn nt;
@@ -138,6 +153,7 @@ struct KernelTable {
   DwForwardFn dw_forward;
   DwInputGradFn dw_input_grad;
   DwWeightGradFn dw_weight_grad;
+  Col2ImFn col2im_s1;
 };
 
 /// "scalar", "sse2", "avx2".

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <utility>
 
+#include "kernels/kernels.hpp"
+
 namespace tdfm {
 
 namespace {
@@ -67,35 +69,6 @@ void im2col_same_size(const ConvGeometry& g, const float* image, float* columns,
   }
 }
 
-// col2im for stride 1: output row y of tap (ky, kx) adds its in-plane run
-// [x0, x1) to input row y + dy from column x0 + dx on, with no per-element
-// bounds checks.  Each input element still takes one addition per tap, in
-// (ky, kx) order.
-void col2im_stride1(const ConvGeometry& g, const float* columns, float* image_grad,
-                    std::size_t row_stride, std::size_t col_offset) {
-  const std::size_t oh = g.out_h();
-  const std::size_t ow = g.out_w();
-  const float* in_row = columns + col_offset;
-  for (std::size_t c = 0; c < g.in_c; ++c) {
-    float* plane = image_grad + c * g.in_h * g.in_w;
-    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
-      const auto dy = static_cast<std::ptrdiff_t>(ky) - static_cast<std::ptrdiff_t>(g.pad);
-      const auto [y0, y1] = tap_span(dy, g.in_h, oh);
-      const auto sy0 = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(y0) + dy);
-      for (std::size_t kx = 0; kx < g.kernel; ++kx, in_row += row_stride) {
-        const auto dx = static_cast<std::ptrdiff_t>(kx) - static_cast<std::ptrdiff_t>(g.pad);
-        const auto [x0, x1] = tap_span(dx, g.in_w, ow);
-        if (y0 == y1 || x0 == x1) continue;
-        const auto sx0 = static_cast<std::size_t>(static_cast<std::ptrdiff_t>(x0) + dx);
-        for (std::size_t y = y0, sy = sy0; y < y1; ++y, ++sy) {
-          float* dst = plane + sy * g.in_w + sx0;
-          const float* src = in_row + y * ow + x0;
-          for (std::size_t x = 0; x < x1 - x0; ++x) dst[x] += src[x];
-        }
-      }
-    }
-  }
-}
 }  // namespace
 
 void im2col(const ConvGeometry& g, const float* image, float* columns,
@@ -239,7 +212,10 @@ void col2im(const ConvGeometry& g, const float* columns, float* image_grad,
     return;
   }
   if (g.stride == 1) {
-    col2im_stride1(g, columns, image_grad, row_stride, col_offset);
+    // Each element gathers its taps in (ky, kx) order: the additions of
+    // the loop below, stored once.
+    kernels::active_table().col2im_s1({g.in_h, g.in_w, g.kernel, 1, g.pad}, g.in_c,
+                                      columns + col_offset, row_stride, image_grad);
     return;
   }
   std::size_t row = 0;

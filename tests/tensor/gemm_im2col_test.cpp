@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "core/rng.hpp"
+#include "kernels/kernels.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/im2col.hpp"
 
@@ -283,9 +284,16 @@ TEST(Im2Col, Col2ImMatchesNaiveReferenceBitForBit) {
   // col2im adds into a gradient that already holds values, so the order of
   // each element's additions shows in its bits: the definition adds taps in
   // (ky, kx) order.  The patch values of padding taps are nonzero and must
-  // be dropped.  Alone and as the middle image of a 3-image group; guards
-  // must stay NaN.
-  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  // be dropped.  Alone and as the middle image of a 3-image group, at every
+  // kernel table (stride 1 runs the table's gather); guards must stay NaN.
+  // Starting and patch values include -0, +-Inf and NaN, and in a second
+  // pass every value is -0, which only -0 + -0 keeps: a padding tap that
+  // added +0 instead of being skipped would show.  The NaN has its sign set,
+  // like the one Inf + -Inf makes, so every NaN a sum meets has one bit
+  // pattern and its bits cannot depend on which operand an add returns.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  const float nan = -std::numeric_limits<float>::quiet_NaN();
+  const float specials[] = {-0.0F, kInf, -kInf, nan};
   Rng rng(92);
   // One pool of patch values, as large as the largest group matrix.
   const std::vector<ConvGeometry> geometries = im2col_geometries();
@@ -293,30 +301,44 @@ TEST(Im2Col, Col2ImMatchesNaiveReferenceBitForBit) {
   for (const ConvGeometry& g : geometries) {
     largest = std::max(largest, g.patch_rows() * 3 * g.patch_cols());
   }
-  std::vector<float> columns(largest);
-  for (auto& v : columns) v = rng.normal();
-  for (const ConvGeometry& g : geometries) {
-    const std::size_t pc = g.patch_cols();
-    const std::size_t img = g.in_c * g.in_h * g.in_w;
-    std::vector<float> start(img + 2 * kGuard, kNaN);
-    for (std::size_t i = 0; i < img; ++i) start[kGuard + i] = rng.normal();
-    const std::vector<NaiveTap> taps = naive_taps(g);
-    for (const std::size_t group : {1, 3}) {
-      const std::size_t row_stride = group * pc;
-      const std::size_t col_offset = group > 1 ? pc : 0;
-      std::vector<float> want = start;
-      for (const NaiveTap& t : taps) {
-        if (t.src < 0) continue;
-        want[kGuard + static_cast<std::size_t>(t.src)] +=
-            columns[t.row * row_stride + col_offset + t.col];
+  std::vector<float> mixed(largest);
+  for (std::size_t i = 0; i < mixed.size(); ++i) {
+    mixed[i] = i % 7 == 3 ? specials[i / 7 % 4] : rng.normal();
+  }
+  const std::vector<float> negative_zeros(largest, -0.0F);
+  const kernels::KernelKind saved = kernels::active_kernel();
+  for (const kernels::KernelKind kind : kernels::supported_kernels()) {
+    kernels::set_active_kernel(kind);
+    for (const ConvGeometry& g : geometries) {
+      const std::size_t pc = g.patch_cols();
+      const std::size_t img = g.in_c * g.in_h * g.in_w;
+      const std::vector<NaiveTap> taps = naive_taps(g);
+      for (const bool zeros : {false, true}) {
+        const std::vector<float>& columns = zeros ? negative_zeros : mixed;
+        std::vector<float> start(img + 2 * kGuard, nan);
+        for (std::size_t i = 0; i < img; ++i) {
+          start[kGuard + i] = zeros ? -0.0F : i % 5 == 2 ? specials[i / 5 % 4] : rng.normal();
+        }
+        for (const std::size_t group : {1, 3}) {
+          const std::size_t row_stride = group * pc;
+          const std::size_t col_offset = group > 1 ? pc : 0;
+          std::vector<float> want = start;
+          for (const NaiveTap& t : taps) {
+            if (t.src < 0) continue;
+            want[kGuard + static_cast<std::size_t>(t.src)] +=
+                columns[t.row * row_stride + col_offset + t.col];
+          }
+          std::vector<float> got = start;
+          col2im(g, columns.data(), got.data() + kGuard, group > 1 ? row_stride : 0,
+                 col_offset);
+          EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+              << kernels::kernel_name(kind) << " " << describe(g) << " group " << group
+              << (zeros ? " all -0" : "");
+        }
       }
-      std::vector<float> got = start;
-      col2im(g, columns.data(), got.data() + kGuard, group > 1 ? row_stride : 0,
-             col_offset);
-      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
-          << describe(g) << " group " << group;
     }
   }
+  kernels::set_active_kernel(saved);
 }
 
 }  // namespace
