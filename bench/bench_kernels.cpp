@@ -14,16 +14,21 @@
 // The three width-8 conv input gradients (W^T * dY, Conv2D's tn call) and
 // one ReLU-masked Dense weight gradient (dY^T * X, Dense's tn call) run the
 // tn variant only: the avx2 tn runs its register tile on the dense filter
-// rows and its zero-skipping p-outer loop on the masked gradient.
+// rows and its zero-skipping p-outer loop on the masked gradient.  The three
+// width-8 conv weight gradients (dY * patches^T, Conv2D's nt call) and
+// ConvNet's first Dense forward (X * W^T, Dense's nt call) run the nt
+// variant only; the other rows' nt cells reuse the forward's (m, n, k),
+// which no training call runs.
 // The depthwise rows time the forward, input-gradient and weight-gradient
 // entries over one image's channels, a run of 8 per call, at each depthwise
 // layer of width-8 MobileNet.  The BatchNorm2D rows time the layer's
 // training passes alone, then followed by a ReLU layer, then with that ReLU
 // fused, at batch 32 on the width-8 zoo's shapes.  The staging rows use the
 // patch matrices of the model zoo's convolutions at width 8 (one image; the
-// 1x1 convs on 4x4 and 2x2 planes also as the image groups Conv2D runs them
-// in).  The headline is the geomean AVX2-over-scalar speedup across all fp32
-// GEMM cells.
+// 1x1 convs and the 3x3 convs on 4x4, 2x2 and 1x1 planes also as the image
+// groups Conv2D runs them in); col2im runs per kernel table, since its
+// stride-1 path is a table entry.  The headline is the geomean
+// AVX2-over-scalar speedup across all fp32 GEMM cells.
 //
 //   $ ./bench/bench_kernels                      # sweep every supported kernel
 //   $ ./bench/bench_kernels --kernel avx2        # one kernel only
@@ -44,12 +49,17 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr const char* kVariants[] = {"nn", "nt", "tn"};
+constexpr int kAllVariants = -1;
+constexpr int kNtOnly = 1;
+constexpr int kTnOnly = 2;
+
 /// One GEMM problem size.  Tags name the model-zoo site the shape comes
 /// from (C[m,n] = A[m,k] * B[k,n] modulo the variant's transposes).
 struct ShapeSpec {
   const char* tag;
   std::size_t m, n, k;
-  bool tn_only = false;      ///< a gradient site: no nn, nt or q8 row
+  int only = kAllVariants;   ///< a gradient site: that variant's row alone, no q8
   bool relu_masked = false;  ///< A's negative half zeroed, as behind a ReLU
 };
 
@@ -64,10 +74,14 @@ constexpr ShapeSpec kShapes[] = {
     {"pw64_group", 64, 64, 64},       // the same, a group of 4 images
     {"pw128_image", 128, 4, 128},     // 1x1 conv 128->128 on one 2x2 image
     {"pw128_group", 128, 64, 128},    // the same, a group of 16 images
-    {"conv3x3_first_dgrad", 27, 256, 8, true},   // stem 3->8 at 16x16
-    {"conv3x3_mid_dgrad", 72, 256, 16, true},    // 8->16 at 16x16
-    {"conv3x3_deep_dgrad", 144, 64, 16, true},   // 16->16 at 8x8
-    {"dense_fc1_wgrad", 64, 256, 32, true, true},  // ConvNet 256->64 Dense, batch 32
+    {"conv3x3_first_dgrad", 27, 256, 8, kTnOnly},   // stem 3->8 at 16x16
+    {"conv3x3_mid_dgrad", 72, 256, 16, kTnOnly},    // 8->16 at 16x16
+    {"conv3x3_deep_dgrad", 144, 64, 16, kTnOnly},   // 16->16 at 8x8
+    {"dense_fc1_wgrad", 64, 256, 32, kTnOnly, true},  // ConvNet 256->64 Dense, batch 32
+    {"conv3x3_first_wgrad", 8, 27, 256, kNtOnly},   // stem 3->8 at 16x16
+    {"conv3x3_mid_wgrad", 16, 72, 256, kNtOnly},    // 8->16 at 16x16
+    {"conv3x3_deep_wgrad", 16, 144, 64, kNtOnly},   // 16->16 at 8x8
+    {"dense_fc1_fwd", 32, 64, 256, kNtOnly},        // ConvNet 256->64 Dense, batch 32
 };
 
 /// One depthwise layer of width-8 MobileNet (3x3 filters, pad 1).
@@ -114,13 +128,14 @@ constexpr StagingSpec kStaging[] = {
     {"conv3x3_deep", 16, 8, 3, 1, 1, 1},   // 16->16 at 8x8
     {"conv3x3_s2", 16, 16, 3, 2, 1, 1},    // strided 16->32, 16x16 -> 8x8
     {"conv3x3_1px", 64, 1, 3, 1, 1, 1},    // VGG's last stage on 1x1 planes
+    {"conv3x3_4px_group", 32, 4, 3, 1, 1, 4},   // VGG/ResNet 4x4 stage, a group of 4
+    {"conv3x3_2px_group", 64, 2, 3, 1, 1, 16},  // their 2x2 stage, a group of 16
+    {"conv3x3_1px_group", 64, 1, 3, 1, 1, 64},  // VGG's 1x1 stage, a group of 64
     {"pw64_image", 64, 4, 1, 1, 0, 1},     // 1x1 conv 64->64 on a 4x4 image
     {"pw64_group", 64, 4, 1, 1, 0, 4},     // the same, a group of 4 images
     {"pw128_image", 128, 2, 1, 1, 0, 1},   // 1x1 conv 128->128 on 2x2
     {"pw128_group", 128, 2, 1, 1, 0, 16},  // the same, a group of 16 images
 };
-
-constexpr const char* kVariants[] = {"nn", "nt", "tn"};
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -208,7 +223,8 @@ int run(int argc, char** argv) {
     const double flops = 2.0 * static_cast<double>(s.m) *
                          static_cast<double>(s.n) * static_cast<double>(s.k);
 
-    for (std::size_t v = s.tn_only ? 2 : 0; v < 3; ++v) {
+    for (std::size_t v = 0; v < 3; ++v) {
+      if (s.only != kAllVariants && static_cast<int>(v) != s.only) continue;
       std::vector<std::string> row = {s.tag, kVariants[v],
                                       fixed(flops / 1e6, 2)};
       double scalar_gflops = 0.0;
@@ -240,7 +256,7 @@ int run(int argc, char** argv) {
 
     // q8_0 matmul at the nt layout (the only layout inference uses):
     // C[m,n] from quantized A[m,k] against quantized B[n,k].
-    if (!s.tn_only) {
+    if (s.only == kAllVariants) {
       kernels::Q8Matrix qa = kernels::quantize_rows_q8(a.data(), s.m, s.k);
       kernels::AlignedBuffer<float> bt(s.n * s.k);
       fill_random(bt.data(), bt.size(), 3000 + shape_idx);
@@ -361,14 +377,17 @@ int run(int argc, char** argv) {
 
   // Activation staging: of the quantized conv path, im2row and per-table
   // quantization of the patch rows; of the fp32 training path, im2col into
-  // the group's patch matrix and col2im back into the images (none of the
-  // three is dispatched).
+  // the group's patch matrix and col2im back into the images, col2im per
+  // table (its stride-1 path is a table entry; im2row and im2col are not
+  // dispatched).
   std::vector<std::string> staging_columns = {"conv", "patch rows", "im2row us"};
   for (const kernels::KernelKind kind : kinds) {
     staging_columns.push_back(std::string("quantize ") + kernels::kernel_name(kind) + " us");
   }
   staging_columns.push_back("im2col us");
-  staging_columns.push_back("col2im us");
+  for (const kernels::KernelKind kind : kinds) {
+    staging_columns.push_back(std::string("col2im ") + kernels::kernel_name(kind) + " us");
+  }
   AsciiTable staging(staging_columns);
   for (const StagingSpec& st : kStaging) {
     const ConvGeometry g{st.in_c, st.hw, st.hw, st.kernel, st.stride, st.pad};
@@ -417,12 +436,18 @@ int run(int argc, char** argv) {
     };
     to_columns();
     const double im2col_us = 1e6 * time_per_call(to_columns);
-    to_images();
-    const double col2im_us = 1e6 * time_per_call(to_images);
     row.push_back(fixed(im2col_us, 2));
-    row.push_back(fixed(col2im_us, 2));
     json.add(std::string(st.tag) + ".im2col.us", im2col_us);
-    json.add(std::string(st.tag) + ".col2im.us", col2im_us);
+    const kernels::KernelKind active = kernels::active_kernel();
+    for (const kernels::KernelKind kind : kinds) {
+      kernels::set_active_kernel(kind);
+      to_images();
+      const double col2im_us = 1e6 * time_per_call(to_images);
+      row.push_back(fixed(col2im_us, 2));
+      json.add(std::string(st.tag) + ".col2im." + kernels::kernel_name(kind) + ".us",
+               col2im_us);
+    }
+    kernels::set_active_kernel(active);
     staging.add_row(row);
     ++shape_idx;
   }
