@@ -25,7 +25,18 @@ quartiles of both sides, the head's wins and a verdict:
 It also prints failure counts and, per seed, whether the two sides printed
 the same campaign report digest and pipeline decision log.  --trace 1 runs
 perfbench's per-layer pass instead and prints the medians of every layer
-metric.  The verdict arithmetic and the export are tested by
+metric.
+
+Around every run it times a host probe, a fixed single-thread loop like the
+one perfbench/NOISE.md timed, and prints the probe's quartiles per side:
+sets taken in different host phases differ by more than a bound, and the
+probe says which phase a set ran in.  --record LABEL appends the set to
+BENCH_trajectory.json under that label (one record per change, created on
+first use): both revisions, the workload, the seeds, every metric's median
+and quartiles per side with wins and verdict, the probe times, failures and
+digest equality.  A --trace 1 set records the traced layer rows.
+
+The verdict arithmetic, the record and the export are tested by
 scripts/test_ab_pairs.py.
 """
 import argparse
@@ -36,6 +47,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGEST_NOTE = re.compile(r"^note: (campaign report digest|pipeline decision log) (\w+)")
@@ -73,6 +85,15 @@ def claim_verdict(base, head, better):
     return "gain" if enough_wins and gain > q3 - q1 else "no gain"
 
 
+def verdict(metric, base, head, claim):
+    """The printed verdict of one BENCHMARK.json metric."""
+    if metric["name"] == claim:
+        return "claim: " + claim_verdict(base, head, metric["better"])
+    if "bound" in metric:
+        return bound_verdict(base, head, metric["better"], metric["bound"])
+    return ""
+
+
 def bound_verdict(base, head, better, bound):
     """'within bound', 'regressed', or 'unresolved' when the base's IQR
     relative to its median exceeds the bound and not every head run reads
@@ -86,6 +107,71 @@ def bound_verdict(base, head, better, bound):
         return "within bound" if all_better else "unresolved"
     worse = (med_b - med_h) / abs(med_b) if better == "higher" else (med_h - med_b) / abs(med_b)
     return "regressed" if worse > bound else "within bound"
+
+
+PROBE_STEPS = 400000
+
+
+def probe_ms(steps=PROBE_STEPS):
+    """Milliseconds of a fixed single-thread integer loop (about 50 ms at the
+    default size on a 4-vCPU shared x86 host); only the host's speed moves
+    it."""
+    t0 = time.perf_counter()
+    x = 1
+    for i in range(steps):
+        x = (x * 1103515245 + 12345 + i) & 0xFFFFFFFF
+    return (time.perf_counter() - t0) * 1000.0
+
+
+def summary(values):
+    """{"median", "q1", "q3"} of a list of numbers."""
+    q1, med, q3 = quartiles(values)
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def record_entry(args, commits, declared, values, probes, failed, digest_rows):
+    """One run set as BENCH_trajectory.json stores it."""
+    metrics = {}
+    for m in declared:
+        base, head = values["base"][m["name"]], values["head"][m["name"]]
+        if not base or len(base) != len(head):
+            continue
+        metrics[m["name"]] = {
+            "unit": m["unit"], "better": m["better"],
+            "base": summary(base), "head": summary(head),
+            "wins": wins(base, head, m["better"]), "pairs": len(base),
+            "verdict": verdict(m, base, head, args.claim)}
+    return {
+        "base": commits["base"], "head": commits["head"],
+        "workload": args.workload, "trace": args.trace, "seconds": args.seconds,
+        "seeds": parse_seeds(args.seeds),
+        "metrics": metrics,
+        "probe_ms": {side: {"runs": runs, **summary(runs)} for side, runs in probes.items()
+                     if runs},
+        "failures": failed,
+        "digests_equal": all(base == head for _, base, head in digest_rows),
+    }
+
+
+def append_record(path, label, entry):
+    """Adds `entry` to the record named `label` in the trajectory file at
+    `path` (creating the file or the record), written through a temporary
+    file and a rename."""
+    trajectory = {"records": []}
+    if os.path.exists(path):
+        with open(path) as f:
+            trajectory = json.load(f)
+    for record in trajectory["records"]:
+        if record["label"] == label:
+            record["sets"].append(entry)
+            break
+    else:
+        trajectory["records"].append({"label": label, "sets": [entry]})
+    tmp = path + ".tmp"
+    with open(tmp, "w") as f:
+        json.dump(trajectory, f, indent=1, sort_keys=True)
+        f.write("\n")
+    os.replace(tmp, path)
 
 
 STAMP = ".ab_pairs_commit"
@@ -154,6 +240,8 @@ def main():
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--claim", default="", help="metric the head claims to improve")
     parser.add_argument("--workdir", required=True, help="scratch directory for the trees")
+    parser.add_argument("--record", default="",
+                        help="append the set to BENCH_trajectory.json under this label")
     args = parser.parse_args()
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
@@ -164,13 +252,16 @@ def main():
     print("base %s, head %s" % (commits["base"], commits["head"]), file=sys.stderr)
     values = {side: {m["name"]: [] for m in declared} for side in trees}
     failed = {side: 0 for side in trees}
+    probes = {side: [] for side in trees}
     digest_rows = []
     for i, seed in enumerate(parse_seeds(args.seeds)):
         order = ("base", "head") if i % 2 == 0 else ("head", "base")
         digests = {}
         for side in order:
+            probes[side].append(probe_ms())
             result, digests[side] = run_once(trees[side], args.workload, seed,
                                              args.seconds, args.trace)
+            probes[side].append(probe_ms())
             if result is None:
                 failed[side] += 1
                 print("seed %d %s: run failed" % (seed, side), file=sys.stderr)
@@ -190,22 +281,24 @@ def main():
             continue
         bq1, bmed, bq3 = quartiles(base)
         hq1, hmed, hq3 = quartiles(head)
-        if m["name"] == args.claim:
-            verdict = "claim: " + claim_verdict(base, head, m["better"])
-        elif "bound" in m:
-            verdict = bound_verdict(base, head, m["better"], m["bound"])
-        else:
-            verdict = ""
         print("%-36s %-30s %-30s %3d/%-2d  %s" % (
             m["name"], "%.4g [%.4g, %.4g]" % (bmed, bq1, bq3),
             "%.4g [%.4g, %.4g]" % (hmed, hq1, hq3),
-            wins(base, head, m["better"]), len(base), verdict))
+            wins(base, head, m["better"]), len(base), verdict(m, base, head, args.claim)))
+    for side in ("base", "head"):
+        q1, med, q3 = quartiles(probes[side])
+        print("host probe ms, %s runs: %.1f [%.1f, %.1f]" % (side, med, q1, q3))
     print("failures: base %d, head %d" % (failed["base"], failed["head"]))
     for seed, base, head in digest_rows:
         for kind in sorted(set(base) | set(head)):
             same = base.get(kind) == head.get(kind)
             print("seed %d %s: base %s head %s %s" % (
                 seed, kind, base.get(kind), head.get(kind), "equal" if same else "DIFFER"))
+    if args.record:
+        append_record(os.path.join(ROOT, "BENCH_trajectory.json"), args.record,
+                      record_entry(args, commits, declared, values, probes, failed,
+                                   digest_rows))
+        print("recorded under %r in BENCH_trajectory.json" % args.record, file=sys.stderr)
     return 0
 
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""Unit tests of scripts/ab_pairs.py's verdict arithmetic and export
-(ctest ab_pairs_verdicts)."""
+"""Unit tests of scripts/ab_pairs.py's verdict arithmetic, trajectory record
+and export (ctest ab_pairs_verdicts)."""
+import argparse
+import json
 import os
 import subprocess
 import sys
@@ -103,6 +105,63 @@ class Export(unittest.TestCase):
             self.assertFalse(os.path.exists(marker))
             with open(os.path.join(tree, ab_pairs.STAMP)) as f:
                 self.assertEqual(f.read().strip(), commit)
+
+
+class Record(unittest.TestCase):
+    declared = [
+        {"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+        {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+        {"name": "nn.bwd_ms.conv2d", "unit": "ms", "better": "lower"},
+    ]
+    args = argparse.Namespace(workload="pipeline", trace=0, seconds=45.0, seeds="5-8",
+                              claim="work_per_s")
+    commits = {"base": "a" * 40, "head": "b" * 40}
+
+    def entry(self, head_digest="d1"):
+        values = {
+            "base": {"work_per_s": [10.0, 11.0, 12.0, 13.0],
+                     "peak_rss_mb": [20.0, 20.0, 20.0, 20.0], "nn.bwd_ms.conv2d": []},
+            "head": {"work_per_s": [14.0, 15.0, 16.0, 17.0],
+                     "peak_rss_mb": [19.0, 19.0, 19.0, 19.0], "nn.bwd_ms.conv2d": []},
+        }
+        probes = {"base": [50.0, 52.0, 51.0, 49.0], "head": [48.0, 50.0, 60.0, 50.0]}
+        digests = [(5, {"pipeline decision log": "d1"},
+                    {"pipeline decision log": head_digest})]
+        return ab_pairs.record_entry(self.args, self.commits, self.declared, values,
+                                     probes, {"base": 0, "head": 1}, digests)
+
+    def test_holds_revisions_seeds_medians_quartiles_probes_and_verdicts(self):
+        e = self.entry()
+        self.assertEqual((e["base"], e["head"]), ("a" * 40, "b" * 40))
+        self.assertEqual((e["workload"], e["trace"], e["seeds"]), ("pipeline", 0, [5, 6, 7, 8]))
+        w = e["metrics"]["work_per_s"]
+        self.assertEqual(w["base"], {"median": 11.5, "q1": 10.75, "q3": 12.25})
+        self.assertEqual((w["wins"], w["pairs"], w["verdict"]), (4, 4, "claim: gain"))
+        self.assertEqual(e["metrics"]["peak_rss_mb"]["verdict"], "within bound")
+        self.assertNotIn("nn.bwd_ms.conv2d", e["metrics"])  # no runs, no row
+        self.assertEqual(e["probe_ms"]["head"]["runs"], [48.0, 50.0, 60.0, 50.0])
+        self.assertEqual(e["probe_ms"]["head"]["median"], 50.0)
+        self.assertEqual(e["failures"], {"base": 0, "head": 1})
+        self.assertTrue(e["digests_equal"])
+        self.assertFalse(self.entry(head_digest="d2")["digests_equal"])
+
+    def test_appends_sets_under_one_label_per_change(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "BENCH_trajectory.json")
+            ab_pairs.append_record(path, "PR 1", self.entry())
+            ab_pairs.append_record(path, "PR 2", self.entry())
+            ab_pairs.append_record(path, "PR 1", self.entry(head_digest="d2"))
+            with open(path) as f:
+                trajectory = json.load(f)
+            self.assertEqual([r["label"] for r in trajectory["records"]], ["PR 1", "PR 2"])
+            sets = trajectory["records"][0]["sets"]
+            self.assertEqual([s["digests_equal"] for s in sets], [True, False])
+            self.assertEqual(os.listdir(tmp), ["BENCH_trajectory.json"])
+
+
+class Probe(unittest.TestCase):
+    def test_times_a_fixed_loop(self):
+        self.assertGreater(ab_pairs.probe_ms(1000), 0.0)
 
 
 class Seeds(unittest.TestCase):
