@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <string>
 
 namespace tdfm::nn {
 
@@ -80,6 +81,17 @@ std::vector<float> read_weights(std::ifstream& in, const std::string& path) {
   std::uint64_t count = 0;
   read_pod(in, count);
   if (!in) throw Error("checkpoint truncated: " + path);
+  // Bound the allocation by the bytes actually present, so a forged count
+  // cannot reach the vector (length_error, or gigabytes zero-filled).
+  const std::streamoff here = in.tellg();
+  in.seekg(0, std::ios::end);
+  const std::streamoff left = in.tellg() - here;
+  in.seekg(here);
+  if (!in || count > static_cast<std::uint64_t>(left) / sizeof(float)) {
+    throw Error("checkpoint truncated: " + path + " declares " +
+                std::to_string(count) + " weights but " +
+                std::to_string(left) + " bytes follow");
+  }
   std::vector<float> weights(count);
   in.read(reinterpret_cast<char*>(weights.data()),
           static_cast<std::streamsize>(count * sizeof(float)));

@@ -146,6 +146,60 @@ TEST(Checkpoint, V2WrongScalarCountRejected) {
   EXPECT_THROW(load_checkpoint(small, file.path), Error);
 }
 
+/// A v2 checkpoint whose weight count is replaced by `count`, keeping
+/// `weight_bytes` bytes of weights after it.
+std::string forged_count_checkpoint(Network& net, const std::string& path,
+                                    std::uint64_t count,
+                                    std::size_t weight_bytes) {
+  save_checkpoint(net, path, toy_meta());
+  std::ifstream in(path, std::ios::binary);
+  std::string blob((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  in.close();
+  const std::size_t at =
+      blob.size() - net.save_weights().size() * sizeof(float) - sizeof(count);
+  std::memcpy(blob.data() + at, &count, sizeof(count));
+  blob.resize(at + sizeof(count) + weight_bytes);
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << blob;
+  return blob;
+}
+
+// A forged count must fail as a truncated checkpoint before any allocation:
+// 2^62 floats exceed vector::max_size() (std::length_error otherwise).
+TEST(Checkpoint, ForgedHugeWeightCountRejected) {
+  Rng rng(20);
+  auto net = make_net(rng);
+  const TempFile file("ckpt_forged_huge.bin");
+  (void)forged_count_checkpoint(*net, file.path, 1ULL << 62, 64);
+  try {
+    load_checkpoint(*net, file.path);
+    FAIL() << "expected tdfm::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("checkpoint truncated"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// 2^33 floats fit in a vector but would zero-fill 32 GB for a file of about
+// a hundred bytes: the count is checked against the bytes that follow it.
+TEST(Checkpoint, ForgedLargeWeightCountRejectedBeforeAllocating) {
+  Rng rng(21);
+  auto net = make_net(rng);
+  const TempFile file("ckpt_forged_large.bin");
+  const std::string blob =
+      forged_count_checkpoint(*net, file.path, 1ULL << 33, 64);
+  EXPECT_LT(blob.size(), 128U);
+  try {
+    load_checkpoint(*net, file.path);
+    FAIL() << "expected tdfm::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("checkpoint truncated"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Checkpoint, QuantizeFlagSelectsV3AndRoundTrips) {
   Rng rng(12);
   auto a = make_net(rng);
