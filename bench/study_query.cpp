@@ -30,6 +30,7 @@
 #include <sstream>
 
 #include "bench_common.hpp"
+#include "core/durable.hpp"
 #include "store/store.hpp"
 
 namespace {
@@ -59,14 +60,6 @@ void deliver(const std::string& text, const std::string& out_path) {
   TDFM_CHECK(out.good(), "cannot open --out file: " + out_path);
   out << text;
   TDFM_CHECK(out.good(), "failed writing --out file: " + out_path);
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  TDFM_CHECK(in.good(), "cannot read file: " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 /// Shared query flags (filter, grep, agg); unset flags match everything.
@@ -149,7 +142,7 @@ int cmd_import(int argc, char** argv) {
   if (cli.get_bool("verify")) {
     std::ostringstream exported;
     store::StoreReader(dir).export_jsonl(exported);
-    std::string expected = read_file(journal);
+    std::string expected = core::read_file(journal);
     if (stats.recovered_torn_tail) {
       // Import dropped the torn final line exactly as a resume would; the
       // comparable prefix ends at the last newline.

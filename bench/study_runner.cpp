@@ -44,11 +44,11 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <thread>
 #include <unordered_map>
 
 #include "bench_common.hpp"
+#include "core/durable.hpp"
 #include "core/process.hpp"
 #include "store/reader.hpp"
 #include "study/progress.hpp"
@@ -260,11 +260,7 @@ int main(int argc, char** argv) try {
   // crash dumps.
   if (!cli.get_string("validate-json").empty()) {
     const std::string path = cli.get_string("validate-json");
-    std::ifstream in(path, std::ios::binary);
-    TDFM_CHECK(in.good(), "cannot open --validate-json file: " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    if (obs::json_valid(buf.str())) {
+    if (obs::json_valid(core::read_file(path))) {
       std::cout << path << ": valid JSON\n";
       return 0;
     }

@@ -66,7 +66,7 @@ class SnapshotExporter {
   std::uint64_t seq_ = 0;
   bool running_ = false;
   std::unique_ptr<Ticker> ticker_;
-  std::mutex export_mu_;  ///< serialises exports (shared .tmp staging file)
+  std::mutex export_mu_;  ///< serialises exports (one shared staging file)
 };
 
 }  // namespace tdfm::obs

@@ -17,9 +17,12 @@
 #pragma once
 
 #include <cctype>
+#include <cstdio>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/error.hpp"
@@ -40,6 +43,44 @@ struct FlatValue {
     // Null reads as 0.0 for numeric fields (legacy journal tolerance for
     // non-finite doubles serialised as null).
     return kind == Kind::kNumber || kind == Kind::kNull;
+  }
+
+  /// `num` as integer field `key` of type Int, truncated toward zero (null
+  /// reads as 0).  Throws ConfigError when the value is outside Int's range,
+  /// where a plain static_cast would be undefined behaviour.
+  template <typename Int>
+  [[nodiscard]] Int as_int(std::string_view key) const {
+    return to_int<Int>(num, key);
+  }
+
+  /// Every element of a number array, checked as as_int does.
+  template <typename Int>
+  [[nodiscard]] std::vector<Int> as_ints(std::string_view key) const {
+    std::vector<Int> out;
+    out.reserve(array.size());
+    for (const double v : array) out.push_back(to_int<Int>(v, key));
+    return out;
+  }
+
+ private:
+  template <typename Int>
+  static Int to_int(double v, std::string_view key) {
+    static_assert(std::is_integral_v<Int>);
+    // Truncation lands in range iff min - 1 < v < max + 1.  max + 1 is a
+    // power of two, exact as a double; for a signed Int, min - 1 rounds to
+    // min itself, and -limit == min is the smallest double that truncates
+    // into range.
+    constexpr double limit =
+        static_cast<double>(std::numeric_limits<Int>::max()) + 1.0;
+    const bool in_range =
+        std::is_signed_v<Int> ? v >= -limit && v < limit : v > -1.0 && v < limit;
+    if (!in_range) {
+      char text[32];
+      std::snprintf(text, sizeof(text), "%g", v);
+      throw ConfigError("field '" + std::string(key) + "' value " + text +
+                        " is out of its integer range");
+    }
+    return static_cast<Int>(v);
   }
 };
 

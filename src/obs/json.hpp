@@ -1,6 +1,6 @@
 // Minimal JSON emission helpers shared by the obs exporters (JSONL metrics,
-// Chrome trace, bench result files).  Emission only — parsing lives in the
-// tests that validate the exported schemas.
+// Chrome trace, bench result files) and the persisted record codecs.
+// Emission only — parsing lives in obs/flat_json.hpp.
 #pragma once
 
 #include <cmath>
@@ -40,6 +40,16 @@ namespace tdfm::obs {
   if (!std::isfinite(v)) return "null";
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
+  return buf;
+}
+
+/// Renders a double with every significant digit ("null" when not finite),
+/// so parsing it back yields the same bits: the number format of every
+/// persisted record (journal, decision log, store manifest, snapshots).
+[[nodiscard]] inline std::string json_exact_number(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
   return buf;
 }
 

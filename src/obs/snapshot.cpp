@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <tuple>
 
+#include "core/durable.hpp"
 #include "core/error.hpp"
 #include "core/logging.hpp"
 #include "obs/flat_json.hpp"
@@ -17,16 +15,6 @@
 namespace tdfm::obs {
 
 namespace {
-
-/// Round-trip-exact doubles: the aggregate of exported snapshots must equal
-/// the aggregate of the in-memory registries, so no precision is shed at the
-/// file boundary (json_number's %.9g is for human-facing telemetry).
-std::string exact_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 std::int64_t now_wall_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
@@ -54,7 +42,7 @@ std::string serialize_snapshot(const MetricsSnapshot& snap) {
      << ",\"grid_cells\":" << m.grid_cells << ",\"cells_done\":" << m.cells_done
      << ",\"cells_executed\":" << m.cells_executed
      << ",\"cells_stolen\":" << m.cells_stolen
-     << ",\"elapsed_seconds\":" << exact_number(m.elapsed_seconds) << "}\n";
+     << ",\"elapsed_seconds\":" << json_exact_number(m.elapsed_seconds) << "}\n";
   // Metric lines use the same shapes obs/telemetry.cpp streams, so one
   // schema serves both the telemetry file and the plane.
   for (const MetricSample& s : snap.samples) {
@@ -65,15 +53,15 @@ std::string serialize_snapshot(const MetricsSnapshot& snap) {
         break;
       case MetricSample::Kind::kGauge:
         os << "{\"type\":\"gauge\",\"name\":" << json_string(s.name)
-           << ",\"value\":" << exact_number(s.value) << "}\n";
+           << ",\"value\":" << json_exact_number(s.value) << "}\n";
         break;
       case MetricSample::Kind::kHistogram: {
         os << "{\"type\":\"histogram\",\"name\":" << json_string(s.name)
-           << ",\"count\":" << s.count << ",\"sum\":" << exact_number(s.value)
+           << ",\"count\":" << s.count << ",\"sum\":" << json_exact_number(s.value)
            << ",\"upper_bounds\":[";
         for (std::size_t i = 0; i < s.upper_bounds.size(); ++i) {
           if (i) os << ',';
-          os << exact_number(s.upper_bounds[i]);
+          os << json_exact_number(s.upper_bounds[i]);
         }
         os << "],\"bucket_counts\":[";
         for (std::size_t i = 0; i < s.bucket_counts.size(); ++i) {
@@ -105,37 +93,31 @@ MetricsSnapshot parse_snapshot(std::string_view text) {
     std::string name;
     MetricSample sample;
     SnapshotMeta meta;
+    FlatValue value;  // a counter's count or a gauge's value: type decides
     double schema_version = -1.0;
     FlatJsonParser parser(line, "snapshot parse error");
     parser.parse([&](const std::string& key, const FlatValue& v) {
+      const auto size = [&] { return v.as_int<std::size_t>(key); };
       if (key == "type" && v.is_string()) type = v.str;
       else if (key == "name" && v.is_string()) name = v.str;
       else if (key == "schema_version") schema_version = v.num;
-      else if (key == "pid") meta.pid = static_cast<std::int64_t>(v.num);
-      else if (key == "shard_index") meta.shard_index = static_cast<std::size_t>(v.num);
-      else if (key == "shard_count") meta.shard_count = static_cast<std::size_t>(v.num);
-      else if (key == "seq") meta.seq = static_cast<std::uint64_t>(v.num);
-      else if (key == "wall_us") meta.wall_us = static_cast<std::int64_t>(v.num);
+      else if (key == "pid") meta.pid = v.as_int<std::int64_t>(key);
+      else if (key == "shard_index") meta.shard_index = size();
+      else if (key == "shard_count") meta.shard_count = size();
+      else if (key == "seq") meta.seq = v.as_int<std::uint64_t>(key);
+      else if (key == "wall_us") meta.wall_us = v.as_int<std::int64_t>(key);
       else if (key == "label" && v.is_string()) meta.label = v.str;
-      else if (key == "grid_cells") meta.grid_cells = static_cast<std::size_t>(v.num);
-      else if (key == "cells_done") meta.cells_done = static_cast<std::size_t>(v.num);
-      else if (key == "cells_executed") meta.cells_executed = static_cast<std::size_t>(v.num);
-      else if (key == "cells_stolen") meta.cells_stolen = static_cast<std::size_t>(v.num);
+      else if (key == "grid_cells") meta.grid_cells = size();
+      else if (key == "cells_done") meta.cells_done = size();
+      else if (key == "cells_executed") meta.cells_executed = size();
+      else if (key == "cells_stolen") meta.cells_stolen = size();
       else if (key == "elapsed_seconds") meta.elapsed_seconds = v.num;
-      else if (key == "value") {
-        sample.count = static_cast<std::uint64_t>(v.num);  // counter
-        sample.value = v.num;                              // gauge
-      } else if (key == "count") {
-        sample.count = static_cast<std::uint64_t>(v.num);
-      } else if (key == "sum") {
-        sample.value = v.num;
-      } else if (key == "upper_bounds") {
-        sample.upper_bounds = v.array;
-      } else if (key == "bucket_counts") {
-        sample.bucket_counts.assign(v.array.size(), 0);
-        for (std::size_t i = 0; i < v.array.size(); ++i) {
-          sample.bucket_counts[i] = static_cast<std::uint64_t>(v.array[i]);
-        }
+      else if (key == "value") value = v;
+      else if (key == "count") sample.count = v.as_int<std::uint64_t>(key);
+      else if (key == "sum") sample.value = v.num;
+      else if (key == "upper_bounds") sample.upper_bounds = v.array;
+      else if (key == "bucket_counts") {
+        sample.bucket_counts = v.as_ints<std::uint64_t>(key);
       }
       // Unknown keys: ignored (forward compatibility within a version).
     });
@@ -161,9 +143,11 @@ MetricsSnapshot parse_snapshot(std::string_view text) {
     sample.name = std::move(name);
     if (type == "counter") {
       sample.kind = MetricSample::Kind::kCounter;
+      sample.count = value.as_int<std::uint64_t>("value");
       sample.value = 0.0;
     } else if (type == "gauge") {
       sample.kind = MetricSample::Kind::kGauge;
+      sample.value = value.num;
       sample.count = 0;
     } else if (type == "histogram") {
       sample.kind = MetricSample::Kind::kHistogram;
@@ -186,18 +170,9 @@ MetricsSnapshot parse_snapshot(std::string_view text) {
 }
 
 void write_snapshot_atomic(const std::string& path, const MetricsSnapshot& snap) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    TDFM_CHECK(out.good(), "cannot open snapshot tmp file: " + tmp);
-    out << serialize_snapshot(snap);
-    out.flush();
-    TDFM_CHECK(out.good(), "failed writing snapshot tmp file: " + tmp);
-  }
-  // Atomic within a directory on POSIX: a concurrent reader (the --progress
-  // driver) sees the whole new snapshot or the whole old one.
-  TDFM_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-             "failed renaming snapshot into place: " + path);
+  // A concurrent reader (the --progress driver) sees the whole new snapshot
+  // or the whole old one.
+  core::write_file_atomic(path, serialize_snapshot(snap));
 }
 
 std::string snapshot_path(const std::string& dir, std::int64_t pid) {
@@ -223,18 +198,11 @@ std::vector<std::string> list_snapshot_files(const std::string& dir) {
 SnapshotScan read_snapshot_dir(const std::string& dir) {
   SnapshotScan scan;
   for (const std::string& path : list_snapshot_files(dir)) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-      TDFM_LOG(kWarn) << "obs: skipping unreadable snapshot " << path;
-      ++scan.skipped;
-      continue;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
     try {
-      scan.snapshots.push_back(parse_snapshot(buf.str()));
+      scan.snapshots.push_back(parse_snapshot(core::read_file(path)));
     } catch (const ConfigError& e) {
-      // A torn or foreign file costs one scrape interval, never the view.
+      // An unreadable, torn or foreign file costs one scrape interval,
+      // never the view.
       TDFM_LOG(kWarn) << "obs: skipping snapshot " << path << ": " << e.what();
       ++scan.skipped;
     }

@@ -20,11 +20,10 @@
 // The file is versioned JSON-lines: a `{"type":"snapshot", ...}` header
 // line (schema_version, pid, shard, seq, progress counts) followed by one
 // line per metric in the same shapes obs/telemetry.cpp streams.  Writers
-// replace the whole file atomically (tmp + rename), so a reader sees a
+// replace the whole file with core::write_file_atomic, so a reader sees a
 // complete snapshot or the previous one — never a torn one; anything
-// unparseable in the directory (a crash mid-rename leaves the .tmp) is
-// skipped with a warning, because losing one scrape interval is better
-// than losing the live view.
+// unreadable or unparseable in the directory is skipped with a warning,
+// because losing one scrape interval is better than losing the live view.
 #pragma once
 
 #include <cstdint>
@@ -74,7 +73,7 @@ inline constexpr int kSnapshotSchemaVersion = 1;
 /// missing header, or an unknown schema version.
 [[nodiscard]] MetricsSnapshot parse_snapshot(std::string_view text);
 
-/// Writes the snapshot atomically: tmp file + rename, so concurrent readers
+/// Writes the snapshot with core::write_file_atomic, so concurrent readers
 /// see the whole new snapshot or the whole old one.
 void write_snapshot_atomic(const std::string& path, const MetricsSnapshot& snap);
 

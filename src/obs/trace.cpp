@@ -3,14 +3,13 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <tuple>
 
+#include "core/durable.hpp"
 #include "core/error.hpp"
 #include "core/logging.hpp"
 #include "obs/flat_json.hpp"
@@ -81,6 +80,28 @@ void record_event(std::string name, std::int64_t ts_us, std::int64_t dur_us) {
     return;
   }
   buf.events.push_back(TraceEvent{std::move(name), ts_us, dur_us, buf.tid});
+}
+
+/// The Chrome trace document, one event per line — the shape
+/// parse_chrome_trace reads back.
+std::string render_chrome_trace(const std::vector<ChromeTraceEvent>& events) {
+  std::ostringstream out;
+  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const ChromeTraceEvent& e = events[i];
+    if (i) out << ',';
+    out << "\n{\"name\":" << json_string(e.name);
+    if (e.ph == "M") {
+      out << ",\"ph\":\"M\",\"pid\":" << e.pid << ",\"tid\":" << e.tid
+          << ",\"args\":{\"name\":" << json_string(e.arg_name) << "}}";
+    } else {
+      out << ",\"cat\":\"tdfm\",\"ph\":\"X\",\"pid\":" << e.pid
+          << ",\"tid\":" << e.tid << ",\"ts\":" << e.ts_us
+          << ",\"dur\":" << e.dur_us << '}';
+    }
+  }
+  out << "\n]}\n";
+  return out.str();
 }
 
 void write_trace_at_exit() {
@@ -199,25 +220,13 @@ void write_chrome_trace(const std::string& path) {
   // Real pids qualify events so merged multi-process timelines keep each
   // shard's spans on its own row instead of stacking everything on pid 0.
   if (pid == 0) pid = static_cast<std::int64_t>(::getpid());
-  std::ofstream out(path, std::ios::trunc);
-  TDFM_CHECK(out.good(), "cannot open trace output file");
-  out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  if (!label.empty()) {
-    out << "\n{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << pid
-        << ",\"tid\":0,\"args\":{\"name\":" << json_string(label) << "}}";
-    first = false;
+  std::vector<ChromeTraceEvent> out;
+  out.reserve(events.size() + 1);
+  if (!label.empty()) out.push_back({"process_name", "M", pid, 0, 0, 0, label});
+  for (TraceEvent& e : events) {
+    out.push_back({std::move(e.name), "X", pid, e.tid, e.ts_us, e.dur_us, ""});
   }
-  for (const TraceEvent& e : events) {
-    if (!first) out << ',';
-    first = false;
-    out << "\n{\"name\":" << json_string(e.name)
-        << ",\"cat\":\"tdfm\",\"ph\":\"X\",\"pid\":" << pid
-        << ",\"tid\":" << e.tid << ",\"ts\":" << e.ts_us
-        << ",\"dur\":" << e.dur_us << '}';
-  }
-  out << "\n]}\n";
-  TDFM_CHECK(out.good(), "failed writing trace output file");
+  core::write_file_atomic(path, render_chrome_trace(out));
 }
 
 TraceParse parse_chrome_trace(std::string_view text) {
@@ -255,10 +264,10 @@ TraceParse parse_chrome_trace(std::string_view text) {
           ev.name = v.str;
           saw_name = true;
         } else if (key == "ph" && v.is_string()) ev.ph = v.str;
-        else if (key == "pid") ev.pid = static_cast<std::int64_t>(v.num);
-        else if (key == "tid") ev.tid = static_cast<std::int64_t>(v.num);
-        else if (key == "ts") ev.ts_us = static_cast<std::int64_t>(v.num);
-        else if (key == "dur") ev.dur_us = static_cast<std::int64_t>(v.num);
+        else if (key == "pid") ev.pid = v.as_int<std::int64_t>(key);
+        else if (key == "tid") ev.tid = v.as_int<std::int64_t>(key);
+        else if (key == "ts") ev.ts_us = v.as_int<std::int64_t>(key);
+        else if (key == "dur") ev.dur_us = v.as_int<std::int64_t>(key);
         else if (key == "args.name" && v.is_string()) ev.arg_name = v.str;
       });
     } catch (const ConfigError&) {
@@ -279,15 +288,15 @@ TraceMergeResult merge_chrome_traces(const std::vector<std::string>& paths,
   TraceMergeResult result;
   std::vector<ChromeTraceEvent> events;
   for (const std::string& path : paths) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-      TDFM_LOG(kWarn) << "trace merge: skipping missing input " << path;
+    std::string text;
+    try {
+      text = core::read_file(path);
+    } catch (const ConfigError& e) {
+      TDFM_LOG(kWarn) << "trace merge: skipping input: " << e.what();
       ++result.missing;
       continue;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    TraceParse parsed = parse_chrome_trace(buf.str());
+    TraceParse parsed = parse_chrome_trace(text);
     if (parsed.skipped_lines > 0) {
       TDFM_LOG(kWarn) << "trace merge: " << path << ": skipped "
                       << parsed.skipped_lines << " unparseable line(s)";
@@ -307,31 +316,7 @@ TraceMergeResult merge_chrome_traces(const std::vector<std::string>& paths,
                      std::tie(brank, b.ts_us, b.pid, b.tid, b.name, b.dur_us);
             });
   result.events = events.size();
-
-  const std::string tmp = out_path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    TDFM_CHECK(out.good(), "cannot open merged trace tmp file: " + tmp);
-    out << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      const ChromeTraceEvent& e = events[i];
-      if (i) out << ',';
-      out << "\n{\"name\":" << json_string(e.name);
-      if (e.ph == "M") {
-        out << ",\"ph\":\"M\",\"pid\":" << e.pid << ",\"tid\":" << e.tid
-            << ",\"args\":{\"name\":" << json_string(e.arg_name) << "}}";
-      } else {
-        out << ",\"cat\":\"tdfm\",\"ph\":\"X\",\"pid\":" << e.pid
-            << ",\"tid\":" << e.tid << ",\"ts\":" << e.ts_us
-            << ",\"dur\":" << e.dur_us << '}';
-      }
-    }
-    out << "\n]}\n";
-    out.flush();
-    TDFM_CHECK(out.good(), "failed writing merged trace tmp file: " + tmp);
-  }
-  TDFM_CHECK(std::rename(tmp.c_str(), out_path.c_str()) == 0,
-             "failed renaming merged trace into place: " + out_path);
+  core::write_file_atomic(out_path, render_chrome_trace(events));
   return result;
 }
 

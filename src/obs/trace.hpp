@@ -106,7 +106,7 @@ struct TraceParse {
 /// (sorted by pid), then spans by (ts, pid, tid, name) — a deterministic
 /// order independent of input order.  Missing input files are skipped with
 /// a warning (a crashed shard may never have flushed one).  The output is
-/// written atomically (tmp + rename).
+/// written with core::write_file_atomic.
 struct TraceMergeResult {
   std::size_t inputs = 0;         ///< files found and read
   std::size_t missing = 0;        ///< paths that did not exist
@@ -125,7 +125,8 @@ void clear_trace_events();
 /// Events dropped because a per-thread buffer hit its cap.
 [[nodiscard]] std::uint64_t trace_dropped_events();
 
-/// Writes the Chrome trace_event JSON ({"traceEvents": [...]}) to `path`.
+/// Writes the Chrome trace_event JSON ({"traceEvents": [...]}) to `path`
+/// with core::write_file_atomic, in merge_chrome_traces' line shapes.
 void write_chrome_trace(const std::string& path);
 
 /// Registers `path` to receive write_chrome_trace() at process exit

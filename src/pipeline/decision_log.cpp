@@ -1,21 +1,14 @@
 #include "pipeline/decision_log.hpp"
 
-#include <sys/stat.h>
-
-#include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <sstream>
 
 #include "core/error.hpp"
-#include "core/logging.hpp"
 #include "obs/flat_json.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 
 namespace tdfm::pipeline {
+
+using obs::json_exact_number;
 
 const char* action_name(Action action) {
   switch (action) {
@@ -37,19 +30,6 @@ Action action_from_name(std::string_view name) {
   throw ConfigError("unknown pipeline action: " + std::string(name));
 }
 
-namespace {
-
-/// Round-trip-exact JSON number (the journal's %.17g discipline): a decision
-/// parsed back from the log must compare equal to the in-memory original.
-std::string exact_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
 std::string to_jsonl(const Decision& d) {
   std::ostringstream os;
   os << "{\"round\": " << d.round
@@ -60,12 +40,12 @@ std::string to_jsonl(const Decision& d) {
      << ", \"window_first_seq\": " << d.window_first_seq
      << ", \"window_last_seq\": " << d.window_last_seq
      << ", \"window_samples\": " << d.window_samples
-     << ", \"candidate_accuracy\": " << exact_number(d.candidate_accuracy)
-     << ", \"live_accuracy\": " << exact_number(d.live_accuracy)
-     << ", \"candidate_ad\": " << exact_number(d.candidate_ad)
-     << ", \"reverse_ad\": " << exact_number(d.reverse_ad)
-     << ", \"ad_threshold\": " << exact_number(d.ad_threshold)
-     << ", \"rollback_threshold\": " << exact_number(d.rollback_threshold)
+     << ", \"candidate_accuracy\": " << json_exact_number(d.candidate_accuracy)
+     << ", \"live_accuracy\": " << json_exact_number(d.live_accuracy)
+     << ", \"candidate_ad\": " << json_exact_number(d.candidate_ad)
+     << ", \"reverse_ad\": " << json_exact_number(d.reverse_ad)
+     << ", \"ad_threshold\": " << json_exact_number(d.ad_threshold)
+     << ", \"rollback_threshold\": " << json_exact_number(d.rollback_threshold)
      << ", \"quantized\": " << (d.quantized ? "true" : "false")
      << ", \"corrupted\": " << (d.corrupted ? "true" : "false")
      << ", \"reason\": " << obs::json_string(d.reason) << "}";
@@ -81,21 +61,18 @@ Decision parse_decision(std::string_view line) {
     const double num = v.num;
     const bool is_string = v.is_string();
     const bool is_bool = v.is_bool();
+    const auto u64 = [&] { return v.as_int<std::uint64_t>(key); };
     if (key == "action" && is_string) {
       d.action = action_from_name(s);
       saw_action = true;
-    } else if (key == "round") d.round = static_cast<std::uint64_t>(num);
-    else if (key == "live_version") d.live_version = static_cast<std::uint64_t>(num);
-    else if (key == "candidate_version") {
-      d.candidate_version = static_cast<std::uint64_t>(num);
-    } else if (key == "technique" && is_string) d.technique = s;
-    else if (key == "window_first_seq") {
-      d.window_first_seq = static_cast<std::uint64_t>(num);
-    } else if (key == "window_last_seq") {
-      d.window_last_seq = static_cast<std::uint64_t>(num);
-    } else if (key == "window_samples") {
-      d.window_samples = static_cast<std::uint64_t>(num);
-    } else if (key == "candidate_accuracy") d.candidate_accuracy = num;
+    } else if (key == "round") d.round = u64();
+    else if (key == "live_version") d.live_version = u64();
+    else if (key == "candidate_version") d.candidate_version = u64();
+    else if (key == "technique" && is_string) d.technique = s;
+    else if (key == "window_first_seq") d.window_first_seq = u64();
+    else if (key == "window_last_seq") d.window_last_seq = u64();
+    else if (key == "window_samples") d.window_samples = u64();
+    else if (key == "candidate_accuracy") d.candidate_accuracy = num;
     else if (key == "live_accuracy") d.live_accuracy = num;
     else if (key == "candidate_ad") d.candidate_ad = num;
     else if (key == "reverse_ad") d.reverse_ad = num;
@@ -110,71 +87,6 @@ Decision parse_decision(std::string_view line) {
     throw ConfigError("decision record is missing its action");
   }
   return d;
-}
-
-std::vector<Decision> DecisionLog::load(const std::string& path,
-                                        bool* recovered_torn_tail) {
-  if (recovered_torn_tail) *recovered_torn_tail = false;
-  std::vector<Decision> decisions;
-
-  struct stat st {};
-  if (::stat(path.c_str(), &st) != 0) {
-    if (errno == ENOENT) return decisions;  // missing file: a fresh pipeline
-    throw ConfigError("cannot stat decision log " + path + ": " +
-                      std::strerror(errno));
-  }
-  // The file exists: from here on every failure is an error — treating an
-  // unreadable log as fresh would silently forget recorded promotions.
-  if (!S_ISREG(st.st_mode)) {
-    throw ConfigError("decision log " + path + " is not a regular file");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw ConfigError("decision log " + path + " exists but cannot be read");
-  }
-
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // getline strips '\n'; a final line that hits EOF first is unterminated
-    // — the only place a kill -9 mid-append can tear.
-    const bool terminated = !in.eof();
-    if (line.empty()) continue;
-    try {
-      decisions.push_back(parse_decision(line));
-    } catch (const ConfigError& e) {
-      if (!terminated) {
-        TDFM_LOG(kWarn) << "decision log " << path
-                        << ": dropping torn final line " << line_no << " ("
-                        << line.size() << " bytes) — interrupted append";
-        if (recovered_torn_tail) *recovered_torn_tail = true;
-        break;
-      }
-      throw ConfigError("decision log " + path + " line " +
-                        std::to_string(line_no) + ": " + e.what());
-    }
-  }
-  return decisions;
-}
-
-void DecisionLog::append(Decision decision) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (!path_.empty()) {
-    if (!file_) file_ = std::make_unique<core::AppendFile>(path_);
-    file_->append(to_jsonl(decision) + '\n');
-    if (obs::flight::enabled()) {
-      obs::flight::record(obs::flight::EventKind::kJournalAppend,
-                          "decision r" + std::to_string(decision.round) + " " +
-                              action_name(decision.action));
-    }
-  }
-  decisions_.push_back(std::move(decision));
-}
-
-std::vector<Decision> DecisionLog::decisions() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return decisions_;
 }
 
 }  // namespace tdfm::pipeline

@@ -2,11 +2,8 @@
 //
 // Every control decision the canary controller takes — bootstrap, promote,
 // hold, rollback, and the corruption drill — is appended as one flat JSON
-// object under the journal's crash contract (core::AppendFile: one locked
-// write(2) + fdatasync per record).  Load recovers exactly like the study
-// journal: a torn final line (kill -9 mid-append) is dropped with a warning,
-// terminated garbage throws, a missing file is a fresh log, an unreadable
-// one is an error.
+// object.  The log is a core::DurableLog, under the same crash contract as
+// the study journal (core/durable.hpp); this file keeps the record codec.
 //
 // Records deliberately contain *no wall-clock fields*: for a pinned seed and
 // round schedule the log replays byte-identically across reruns and worker
@@ -16,13 +13,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "core/file_lock.hpp"
+#include "core/durable.hpp"
 
 namespace tdfm::pipeline {
 
@@ -63,36 +57,26 @@ struct Decision {
 };
 
 /// Serialises a decision as one flat JSON line (no trailing newline).
-/// Doubles use %.17g so parse(to_jsonl(d)) == d bit for bit.
+/// Doubles use obs::json_exact_number, so parse(to_jsonl(d)) == d bit for
+/// bit.
 [[nodiscard]] std::string to_jsonl(const Decision& d);
 
 /// Parses one log line; throws ConfigError on malformed JSON or a record
 /// missing its action.  Unknown keys are ignored (forward compatibility).
 [[nodiscard]] Decision parse_decision(std::string_view line);
 
+/// The decision log's record format, for core::DurableLog.
+struct DecisionCodec {
+  static constexpr std::string_view kKind = "decision log";
+  static std::string render(const Decision& d) { return to_jsonl(d); }
+  static Decision parse(std::string_view line) { return parse_decision(line); }
+  static std::string flight_detail(const Decision& d) {
+    return "decision r" + std::to_string(d.round) + " " + action_name(d.action);
+  }
+};
+
 /// Append-only decision log bound to a JSONL file (or in-memory only when
 /// constructed with an empty path).
-class DecisionLog {
- public:
-  explicit DecisionLog(std::string path = "") : path_(std::move(path)) {}
-
-  /// Loads an existing log, recovering a torn tail (see file comment).
-  /// `recovered_torn_tail`, when non-null, reports whether one was dropped.
-  [[nodiscard]] static std::vector<Decision> load(
-      const std::string& path, bool* recovered_torn_tail = nullptr);
-
-  /// Appends durably (write + fdatasync under flock) and records the
-  /// decision in memory.  Thread-safe.
-  void append(Decision decision);
-
-  [[nodiscard]] std::vector<Decision> decisions() const;
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-  mutable std::mutex mu_;
-  std::unique_ptr<core::AppendFile> file_;
-  std::vector<Decision> decisions_;
-};
+using DecisionLog = core::DurableLog<Decision, DecisionCodec>;
 
 }  // namespace tdfm::pipeline

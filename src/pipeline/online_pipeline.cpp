@@ -398,7 +398,7 @@ PipelineResult OnlinePipeline::run() {
   // Graceful teardown: every accepted request resolves with a prediction.
   engine.drain();
 
-  result.decisions = log.decisions();
+  result.decisions = log.records();
   result.rounds_run = round;
   result.live_version = live_version;
   result.samples_streamed = stream.emitted();

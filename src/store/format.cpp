@@ -1,25 +1,16 @@
 #include "store/format.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
+#include "core/durable.hpp"
 #include "core/error.hpp"
-#include "core/logging.hpp"
 #include "obs/flat_json.hpp"
 #include "obs/json.hpp"
 
 namespace tdfm::store {
 
 namespace {
-
-/// Round-trip-exact double rendering (the journal's %.17g contract).
-std::string exact_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// u64 as a hex string: JSON numbers are doubles and cannot carry a full
 /// 64-bit checksum losslessly.
@@ -82,8 +73,8 @@ std::string render_manifest(const Manifest& m) {
       render_id_list(os, dict_column_name(d), s.dict_ids[d]);
     }
     os << ",\"trial_min\":" << s.trial_min << ",\"trial_max\":" << s.trial_max
-       << ",\"ad_min\":" << exact_number(s.ad_min)
-       << ",\"ad_max\":" << exact_number(s.ad_max) << "}\n";
+       << ",\"ad_min\":" << obs::json_exact_number(s.ad_min)
+       << ",\"ad_max\":" << obs::json_exact_number(s.ad_max) << "}\n";
   }
   if (m.telemetry_files > 0) {
     os << "{\"type\":\"telemetry\",\"files\":" << m.telemetry_files
@@ -94,104 +85,76 @@ std::string render_manifest(const Manifest& m) {
 }
 
 Manifest parse_manifest(std::string_view text, bool* recovered_torn_tail) {
-  if (recovered_torn_tail) *recovered_torn_tail = false;
   Manifest m;
   bool saw_header = false;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t nl = text.find('\n', pos);
-    const bool terminated = nl != std::string_view::npos;
-    const std::string_view line =
-        text.substr(pos, terminated ? nl - pos : std::string_view::npos);
-    pos = terminated ? nl + 1 : text.size();
-    ++line_no;
-    if (line.empty()) continue;
-    try {
-      std::string type;
-      std::string str_v, str_checksum, str_source;
-      double c = 0, i = 0, files = 0, bytes = 0;
-      SegmentMeta seg;
-      double rows = 0, data_bytes = 0, segment_rows = 0, version = 0;
-      double seg_rows = 0, seg_offset = 0, seg_bytes = 0;
-      double trial_min = 0, trial_max = 0;
-      bool recovered = false;
-      obs::FlatJsonParser parser(line, "store manifest parse error");
-      parser.parse([&](const std::string& key, const obs::FlatValue& v) {
-        if (key == "type" && v.is_string()) type = v.str;
-        else if (key == "version") version = v.num;
-        else if (key == "rows") { rows = v.num; seg_rows = v.num; }
-        else if (key == "data_bytes") data_bytes = v.num;
-        else if (key == "segment_rows") segment_rows = v.num;
-        else if (key == "recovered_torn_tail" && v.is_bool()) recovered = v.num != 0.0;
-        else if (key == "source" && v.is_string()) str_source = v.str;
-        else if (key == "c") c = v.num;
-        else if (key == "i") i = v.num;
-        else if (key == "v" && v.is_string()) str_v = v.str;
-        else if (key == "offset") seg_offset = v.num;
-        else if (key == "bytes") { seg_bytes = v.num; bytes = v.num; }
-        else if (key == "checksum" && v.is_string()) str_checksum = v.str;
-        else if (key == "trial_min") trial_min = v.num;
-        else if (key == "trial_max") trial_max = v.num;
-        else if (key == "ad_min") seg.ad_min = v.num;
-        else if (key == "ad_max") seg.ad_max = v.num;
-        else if (key == "files") files = v.num;
-        else {
-          for (std::size_t d = 0; d < kDictColumns; ++d) {
-            if (key == dict_column_name(d) &&
-                v.kind == obs::FlatValue::Kind::kNumberArray) {
-              seg.dict_ids[d].assign(v.array.begin(), v.array.end());
-            }
+  std::istringstream in{std::string(text)};
+  core::read_records(in, "store manifest", [&](std::string_view line) {
+    std::string type, str_v, str_checksum, source;
+    SegmentMeta seg;
+    int version = 0;
+    std::size_t rows = 0, segment_rows = 0, c = 0, files = 0;
+    std::uint64_t data_bytes = 0, i = 0, bytes = 0;
+    bool recovered = false;
+    obs::FlatJsonParser parser(line, "store manifest parse error");
+    parser.parse([&](const std::string& key, const obs::FlatValue& v) {
+      const auto u64 = [&] { return v.as_int<std::uint64_t>(key); };
+      if (key == "type" && v.is_string()) type = v.str;
+      else if (key == "version") version = v.as_int<int>(key);
+      else if (key == "rows") rows = v.as_int<std::size_t>(key);
+      else if (key == "data_bytes") data_bytes = u64();
+      else if (key == "segment_rows") segment_rows = v.as_int<std::size_t>(key);
+      else if (key == "recovered_torn_tail" && v.is_bool()) recovered = v.num != 0.0;
+      else if (key == "source" && v.is_string()) source = v.str;
+      else if (key == "c") c = v.as_int<std::size_t>(key);
+      else if (key == "i") i = u64();
+      else if (key == "v" && v.is_string()) str_v = v.str;
+      else if (key == "offset") seg.offset = u64();
+      else if (key == "bytes") bytes = u64();
+      else if (key == "checksum" && v.is_string()) str_checksum = v.str;
+      else if (key == "trial_min") seg.trial_min = u64();
+      else if (key == "trial_max") seg.trial_max = u64();
+      else if (key == "ad_min") seg.ad_min = v.num;
+      else if (key == "ad_max") seg.ad_max = v.num;
+      else if (key == "files") files = v.as_int<std::size_t>(key);
+      else {
+        for (std::size_t d = 0; d < kDictColumns; ++d) {
+          if (key == dict_column_name(d) &&
+              v.kind == obs::FlatValue::Kind::kNumberArray) {
+            seg.dict_ids[d] = v.as_ints<std::uint64_t>(key);
           }
         }
-      });
-      if (type == "tdfm-store") {
-        if (static_cast<int>(version) > kFormatVersion) {
-          throw ConfigError("store manifest: version " +
-                            std::to_string(static_cast<int>(version)) +
-                            " is newer than this build understands (" +
-                            std::to_string(kFormatVersion) + ")");
-        }
-        m.rows = static_cast<std::size_t>(rows);
-        m.data_bytes = static_cast<std::uint64_t>(data_bytes);
-        m.segment_rows = static_cast<std::size_t>(segment_rows);
-        m.source_recovered_torn_tail = recovered;
-        m.source = str_source;
-        saw_header = true;
-      } else if (type == "dict") {
-        const auto d = static_cast<std::size_t>(c);
-        if (d >= kDictColumns) {
-          throw ConfigError("store manifest: dictionary column out of range");
-        }
-        m.dicts[d].append(static_cast<std::uint64_t>(i), str_v);
-      } else if (type == "segment") {
-        seg.offset = static_cast<std::uint64_t>(seg_offset);
-        seg.bytes = static_cast<std::uint64_t>(seg_bytes);
-        seg.rows = static_cast<std::size_t>(seg_rows);
-        seg.checksum = parse_hex64(str_checksum);
-        seg.trial_min = static_cast<std::uint64_t>(trial_min);
-        seg.trial_max = static_cast<std::uint64_t>(trial_max);
-        m.segments.push_back(std::move(seg));
-      } else if (type == "telemetry") {
-        m.telemetry_files = static_cast<std::size_t>(files);
-        m.telemetry_bytes = static_cast<std::uint64_t>(bytes);
-        m.telemetry_checksum = parse_hex64(str_checksum);
-      } else {
-        throw ConfigError("store manifest: unknown line type '" + type + "'");
       }
-    } catch (const ConfigError& e) {
-      if (!terminated) {
-        // The manifest is replaced atomically, so a torn tail only appears
-        // in externally damaged copies — recover like a torn journal tail.
-        TDFM_LOG(kWarn) << "store manifest: dropping torn final line "
-                        << line_no << " (" << line.size() << " bytes)";
-        if (recovered_torn_tail) *recovered_torn_tail = true;
-        break;
+    });
+    if (type == "tdfm-store") {
+      if (version > kFormatVersion) {
+        throw ConfigError("store manifest: version " + std::to_string(version) +
+                          " is newer than this build understands (" +
+                          std::to_string(kFormatVersion) + ")");
       }
-      throw ConfigError("store manifest line " + std::to_string(line_no) +
-                        ": " + e.what());
+      m.rows = rows;
+      m.data_bytes = data_bytes;
+      m.segment_rows = segment_rows;
+      m.source_recovered_torn_tail = recovered;
+      m.source = source;
+      saw_header = true;
+    } else if (type == "dict") {
+      if (c >= kDictColumns) {
+        throw ConfigError("store manifest: dictionary column out of range");
+      }
+      m.dicts[c].append(i, str_v);
+    } else if (type == "segment") {
+      seg.bytes = bytes;
+      seg.rows = rows;
+      seg.checksum = parse_hex64(str_checksum);
+      m.segments.push_back(std::move(seg));
+    } else if (type == "telemetry") {
+      m.telemetry_checksum = parse_hex64(str_checksum);
+      m.telemetry_files = files;
+      m.telemetry_bytes = bytes;
+    } else {
+      throw ConfigError("store manifest: unknown line type '" + type + "'");
     }
-  }
+  }, recovered_torn_tail);
   if (!saw_header) {
     throw ConfigError("store manifest: missing tdfm-store header line");
   }

@@ -28,17 +28,18 @@
 // shared obs::FlatJsonParser — the same grammar as the journal and the
 // snapshot plane, so foreign files fail loudly with familiar diagnostics.
 //
-// Crash-safety contract (same spirit as the PR 7 journal):
+// Crash-safety contract (core/durable.hpp, shared with the journal):
 //   1. segment bytes are appended and fdatasync'd *before* the manifest
 //      references them (core::AppendFile);
-//   2. the manifest is replaced atomically (tmp + fsync + rename);
+//   2. the manifest is replaced with core::write_file_atomic;
 //   3. therefore a crash leaves either the previous committed state, or
 //      orphan bytes past the committed end of segments.bin — which a
 //      reopened writer truncates and a reader never looks at.
 //   A store torn by external means (a partial copy, a truncated disk image)
-//   recovers like a torn journal tail: a final segment whose bytes are
-//   missing or whose checksum fails is dropped with a warning; damage to
-//   any earlier segment throws.
+//   recovers like a torn journal tail: the manifest goes through the shared
+//   line-record reader, and a final segment whose bytes are missing or
+//   whose checksum fails is dropped with a warning; damage to any earlier
+//   segment throws.
 #pragma once
 
 #include <cstddef>
@@ -129,9 +130,9 @@ struct Manifest {
 /// segment entries, optional telemetry entry).
 [[nodiscard]] std::string render_manifest(const Manifest& m);
 
-/// Parses a manifest document.  A torn final line (unterminated and
-/// unparseable) is dropped with a warning and `*recovered_torn_tail = true`
-/// — mirroring Journal::load; any other malformed line throws ConfigError.
+/// Parses a manifest document under core::read_records' torn-tail rule,
+/// reporting a dropped final line in `recovered_torn_tail`.  Throws
+/// ConfigError on any other malformed line or a missing header.
 [[nodiscard]] Manifest parse_manifest(std::string_view text,
                                       bool* recovered_torn_tail = nullptr);
 

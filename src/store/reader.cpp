@@ -5,9 +5,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <unordered_map>
 
+#include "core/durable.hpp"
 #include "core/error.hpp"
 #include "core/logging.hpp"
 #include "core/varint.hpp"
@@ -23,14 +23,6 @@ std::string format_hex16(std::uint64_t v) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(v));
   return buf;
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) throw ConfigError("cannot read store file " + path);
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 std::string read_range(const std::string& path, std::uint64_t offset,
@@ -204,7 +196,7 @@ DecodedSegment decode_segment(std::string_view seg, const SegmentMeta& meta,
 StoreReader::StoreReader(std::string dir) : dir_(std::move(dir)) {
   bool manifest_torn = false;
   manifest_ =
-      parse_manifest(read_file(dir_ + "/" + kManifestFile), &manifest_torn);
+      parse_manifest(core::read_file(dir_ + "/" + kManifestFile), &manifest_torn);
   recovered_truncated_tail_ = manifest_torn;
 
   const std::string data_path = dir_ + "/" + kDataFile;
@@ -378,7 +370,7 @@ std::size_t StoreReader::restore_telemetry(const std::string& out_dir) const {
   if (manifest_.telemetry_files == 0) {
     throw ConfigError("store " + dir_ + " has no telemetry archive");
   }
-  const std::string blob = read_file(dir_ + "/" + kTelemetryFile);
+  const std::string blob = core::read_file(dir_ + "/" + kTelemetryFile);
   if (blob.size() != manifest_.telemetry_bytes ||
       core::fnv1a64(blob) != manifest_.telemetry_checksum) {
     throw ConfigError("store " + dir_ + ": telemetry archive fails its "
@@ -409,10 +401,7 @@ std::size_t StoreReader::restore_telemetry(const std::string& out_dir) const {
         decompress_block(codec, std::string_view(blob).substr(pos, comp_size),
                          raw_size);
     pos += comp_size;
-    std::ofstream out(out_dir + "/" + name, std::ios::trunc | std::ios::binary);
-    TDFM_CHECK(out.good(), "cannot write restored snapshot: " + name);
-    out << content;
-    TDFM_CHECK(out.good(), "failed writing restored snapshot: " + name);
+    core::write_file_atomic(out_dir + "/" + name, content);
   }
   return static_cast<std::size_t>(files);
 }

@@ -1,18 +1,14 @@
 #include "store/writer.hpp"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <bit>
-#include <cerrno>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "core/durable.hpp"
 #include "core/error.hpp"
-#include "core/file_lock.hpp"
 #include "core/logging.hpp"
 #include "core/varint.hpp"
 #include "obs/snapshot.hpp"
@@ -42,29 +38,6 @@ std::uint64_t parse_hex16(const std::string& s) {
                        c <= '9' ? c - '0' : c - 'a' + 10);
   }
   return v;
-}
-
-/// Writes `content` to `path` atomically and durably: tmp + fsync + rename.
-void write_file_atomic_sync(const std::string& path,
-                            const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  TDFM_CHECK(fd >= 0, "cannot open tmp file: " + tmp);
-  std::size_t off = 0;
-  while (off < content.size()) {
-    const ssize_t n = ::write(fd, content.data() + off, content.size() - off);
-    if (n < 0) {
-      ::close(fd);
-      throw InvariantError("failed writing tmp file " + tmp + ": " +
-                           std::strerror(errno));
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  const bool synced = ::fsync(fd) == 0;
-  ::close(fd);
-  TDFM_CHECK(synced, "fsync failed for tmp file: " + tmp);
-  TDFM_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-             "failed renaming into place: " + path);
 }
 
 std::uint64_t file_size_or_zero(const std::string& path) {
@@ -116,12 +89,7 @@ StoreWriter::StoreWriter(std::string dir, WriterOptions options)
   const std::string manifest_path = dir_ + "/" + kManifestFile;
   const std::string data_path = dir_ + "/" + kDataFile;
   if (fs::exists(manifest_path)) {
-    std::ifstream in(manifest_path, std::ios::binary);
-    TDFM_CHECK(in.good(), "store manifest exists but cannot be read: " +
-                              manifest_path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    manifest_ = parse_manifest(buf.str());
+    manifest_ = parse_manifest(core::read_file(manifest_path));
     // An existing store's geometry wins: mixed segment sizes would make the
     // zone-map/row accounting depend on writer history.
     options_.segment_rows = manifest_.segment_rows;
@@ -313,20 +281,17 @@ std::size_t StoreWriter::archive_telemetry(const std::string& obs_dir) {
   }
   core::put_varint(blob, files.size());
   for (const std::string& path : files) {
-    std::ifstream in(path, std::ios::binary);
-    TDFM_CHECK(in.good(), "cannot read snapshot file: " + path);
-    std::ostringstream buf;
-    buf << in.rdbuf();
+    const std::string content = core::read_file(path);
     const std::string name = fs::path(path).filename().string();
     core::put_varint(blob, name.size());
     blob += name;
-    const auto [codec, comp] = compress_block(buf.str());
+    const auto [codec, comp] = compress_block(content);
     blob += static_cast<char>(codec);
-    core::put_varint(blob, buf.str().size());
+    core::put_varint(blob, content.size());
     core::put_varint(blob, comp.size());
     blob += comp;
   }
-  write_file_atomic_sync(dir_ + "/" + kTelemetryFile, blob);
+  core::write_file_atomic(dir_ + "/" + kTelemetryFile, blob);
   manifest_.telemetry_files = files.size();
   manifest_.telemetry_bytes = blob.size();
   manifest_.telemetry_checksum = core::fnv1a64(blob);
@@ -335,46 +300,29 @@ std::size_t StoreWriter::archive_telemetry(const std::string& obs_dir) {
 
 void StoreWriter::commit() {
   flush_segment();
-  write_file_atomic_sync(dir_ + "/" + kManifestFile,
-                         render_manifest(manifest_));
+  core::write_file_atomic(dir_ + "/" + kManifestFile,
+                          render_manifest(manifest_));
 }
 
 ImportStats import_journal(const std::string& journal_path,
                            const std::string& dir, WriterOptions options,
                            const std::string& obs_dir) {
   ImportStats stats;
-  std::ifstream in(journal_path, std::ios::binary);
-  if (!in.good()) {
-    throw ConfigError("cannot read journal " + journal_path);
+  std::ifstream in = core::open_record_file(journal_path, "journal");
+  if (!in.is_open()) {
+    throw ConfigError("journal " + journal_path + " does not exist");
   }
   StoreWriter writer(dir, options);
   writer.set_source(journal_path);
-
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const bool terminated = !in.eof();
-    if (line.empty()) continue;
-    study::CellRecord record;
-    try {
-      record = study::parse_record(line);
-    } catch (const ConfigError& e) {
-      if (!terminated) {
-        // The kill -9 signature, recovered exactly as Journal::load does.
-        TDFM_LOG(kWarn) << "journal " << journal_path
-                        << ": dropping torn final line " << line_no << " ("
-                        << line.size() << " bytes) — interrupted append";
-        stats.recovered_torn_tail = true;
-        break;
-      }
-      throw ConfigError("journal " + journal_path + " line " +
-                        std::to_string(line_no) + ": " + e.what());
-    }
-    if (to_jsonl(record) != line) ++stats.raw_exceptions;
-    writer.append(record, line);
-    ++stats.records;
-  }
+  core::read_records(
+      in, "journal " + journal_path,
+      [&](std::string_view line) {
+        const study::CellRecord record = study::parse_record(line);
+        if (to_jsonl(record) != line) ++stats.raw_exceptions;
+        writer.append(record, line);
+        ++stats.records;
+      },
+      &stats.recovered_torn_tail);
   writer.set_source_recovered_torn_tail(stats.recovered_torn_tail);
   if (!obs_dir.empty()) {
     stats.telemetry_files = writer.archive_telemetry(obs_dir);

@@ -91,10 +91,12 @@ struct ImportStats {
   std::size_t telemetry_files = 0;
 };
 
-/// Lossless JSONL journal -> store import.  A torn final journal line (the
-/// kill -9 signature) is dropped exactly as Journal::load would, recorded
-/// in the manifest, and reported in the stats.  `obs_dir` non-empty also
-/// archives that observability-plane directory into the store.
+/// Lossless JSONL journal -> store import, streamed through the journal's
+/// line-record reader (core/durable.hpp): a torn final line is dropped
+/// exactly as Journal::load would, recorded in the manifest, and reported
+/// in the stats.  A journal path that does not exist, is not a regular file
+/// or cannot be read throws ConfigError.  `obs_dir` non-empty also archives
+/// that observability-plane directory into the store.
 ImportStats import_journal(const std::string& journal_path,
                            const std::string& dir, WriterOptions options = {},
                            const std::string& obs_dir = {});

@@ -1,27 +1,19 @@
 #include "study/journal.hpp"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <unordered_map>
 
 #include "core/error.hpp"
-#include "core/file_lock.hpp"
-#include "core/logging.hpp"
 #include "obs/flat_json.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/json.hpp"
 
 namespace tdfm::study {
+
+using obs::json_exact_number;
 
 bool equal_modulo_timing(const CellRecord& a, const CellRecord& b) {
   CellRecord ta = a;
@@ -31,20 +23,6 @@ bool equal_modulo_timing(const CellRecord& a, const CellRecord& b) {
   return ta == tb;
 }
 
-namespace {
-
-/// Round-trip-exact JSON number: a resumed record must compare equal to the
-/// in-memory original bit for bit, so the journal serialises doubles with
-/// full precision (obs::json_number's %.9g is for human-facing telemetry).
-std::string exact_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-}  // namespace
-
 std::string to_jsonl(const CellRecord& r) {
   std::ostringstream os;
   os << "{\"cell\": " << obs::json_string(r.cell)
@@ -53,19 +31,19 @@ std::string to_jsonl(const CellRecord& r) {
      << ", \"fault_level\": " << obs::json_string(r.fault_level)
      << ", \"technique\": " << obs::json_string(r.technique)
      << ", \"trial\": " << r.trial
-     << ", \"golden_accuracy\": " << exact_number(r.golden_accuracy)
-     << ", \"faulty_accuracy\": " << exact_number(r.faulty_accuracy)
-     << ", \"ad\": " << exact_number(r.ad)
-     << ", \"reverse_ad\": " << exact_number(r.reverse_ad)
-     << ", \"naive_drop\": " << exact_number(r.naive_drop)
-     << ", \"train_seconds\": " << exact_number(r.train_seconds)
-     << ", \"infer_seconds\": " << exact_number(r.infer_seconds)
-     << ", \"inference_models\": " << exact_number(r.inference_models)
+     << ", \"golden_accuracy\": " << json_exact_number(r.golden_accuracy)
+     << ", \"faulty_accuracy\": " << json_exact_number(r.faulty_accuracy)
+     << ", \"ad\": " << json_exact_number(r.ad)
+     << ", \"reverse_ad\": " << json_exact_number(r.reverse_ad)
+     << ", \"naive_drop\": " << json_exact_number(r.naive_drop)
+     << ", \"train_seconds\": " << json_exact_number(r.train_seconds)
+     << ", \"infer_seconds\": " << json_exact_number(r.infer_seconds)
+     << ", \"inference_models\": " << json_exact_number(r.inference_models)
      << ", \"shared_fit\": " << (r.shared_fit ? "true" : "false")
      << ", \"quantized\": " << (r.quantized ? "true" : "false")
-     << ", \"quantized_accuracy\": " << exact_number(r.quantized_accuracy)
-     << ", \"quantized_ad\": " << exact_number(r.quantized_ad)
-     << ", \"quantized_vs_fp32_ad\": " << exact_number(r.quantized_vs_fp32_ad)
+     << ", \"quantized_accuracy\": " << json_exact_number(r.quantized_accuracy)
+     << ", \"quantized_ad\": " << json_exact_number(r.quantized_ad)
+     << ", \"quantized_vs_fp32_ad\": " << json_exact_number(r.quantized_vs_fp32_ad)
      << "}";
   return os.str();
 }
@@ -88,7 +66,7 @@ CellRecord parse_record(std::string_view line) {
     else if (key == "model" && is_string) r.model = s;
     else if (key == "fault_level" && is_string) r.fault_level = s;
     else if (key == "technique" && is_string) r.technique = s;
-    else if (key == "trial") r.trial = static_cast<std::size_t>(num);
+    else if (key == "trial") r.trial = v.as_int<std::size_t>(key);
     else if (key == "golden_accuracy") r.golden_accuracy = num;
     else if (key == "faulty_accuracy") r.faulty_accuracy = num;
     else if (key == "ad") r.ad = num;
@@ -108,75 +86,6 @@ CellRecord parse_record(std::string_view line) {
     throw ConfigError("journal record is missing its cell id");
   }
   return r;
-}
-
-std::vector<CellRecord> Journal::load(const std::string& path,
-                                      bool* recovered_torn_tail) {
-  if (recovered_torn_tail) *recovered_torn_tail = false;
-  std::vector<CellRecord> records;
-
-  struct stat st {};
-  if (::stat(path.c_str(), &st) != 0) {
-    if (errno == ENOENT) return records;  // missing file: a fresh campaign
-    throw ConfigError("cannot stat journal " + path + ": " +
-                      std::strerror(errno));
-  }
-  // The file exists: from here on every failure is an error.  Treating an
-  // unreadable journal as a fresh campaign would silently recompute (and
-  // then clobber) finished work.
-  if (!S_ISREG(st.st_mode)) {
-    throw ConfigError("journal " + path + " is not a regular file");
-  }
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    throw ConfigError("journal " + path + " exists but cannot be read");
-  }
-
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(in, line)) {
-    ++line_no;
-    // getline strips '\n'; a final line that hits EOF first is unterminated
-    // — the only place a kill -9 mid-append can tear.
-    const bool terminated = !in.eof();
-    if (line.empty()) continue;
-    try {
-      records.push_back(parse_record(line));
-    } catch (const ConfigError& e) {
-      if (!terminated) {
-        TDFM_LOG(kWarn) << "journal " << path << ": dropping torn final line "
-                        << line_no << " (" << line.size()
-                        << " bytes) — interrupted append";
-        if (recovered_torn_tail) *recovered_torn_tail = true;
-        break;
-      }
-      throw ConfigError("journal " + path + " line " + std::to_string(line_no) +
-                        ": " + e.what());
-    }
-  }
-  return records;
-}
-
-void Journal::adopt(std::vector<CellRecord> records) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  for (auto& r : records) records_.push_back(std::move(r));
-}
-
-void Journal::append(CellRecord record) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (!path_.empty()) {
-    if (!file_) file_ = std::make_unique<core::AppendFile>(path_);
-    file_->append(to_jsonl(record) + '\n');
-    if (obs::flight::enabled()) {
-      obs::flight::record(obs::flight::EventKind::kJournalAppend, record.cell);
-    }
-  }
-  records_.push_back(std::move(record));
-}
-
-std::vector<CellRecord> Journal::records() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return records_;
 }
 
 std::vector<std::string> discover_shard_journals(const std::string& base) {
@@ -199,9 +108,9 @@ std::vector<std::string> discover_shard_journals(const std::string& base) {
         name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
       continue;
     }
-    // Middle is "<i>of<N>": digits, "of", digits — anything else (say a
-    // .shard0of3.jsonl.tmp leftover was already excluded by the suffix, but
-    // a foreign name could still slip through) is not a sibling.
+    // Middle is "<i>of<N>": digits, "of", digits — anything else (a
+    // staging-file leftover was already excluded by the suffix, but a
+    // foreign name could still slip through) is not a sibling.
     const std::string mid = name.substr(
         prefix.size(), name.size() - prefix.size() - suffix.size());
     const std::size_t of = mid.find("of");
@@ -289,18 +198,9 @@ MergeResult merge_journals(const std::vector<std::string>& paths) {
 
 void write_journal(const std::string& path,
                    const std::vector<CellRecord>& records) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc | std::ios::binary);
-    TDFM_CHECK(out.good(), "cannot open journal tmp file: " + tmp);
-    for (const CellRecord& r : records) out << to_jsonl(r) << '\n';
-    out.flush();
-    TDFM_CHECK(out.good(), "failed writing journal tmp file: " + tmp);
-  }
-  // Atomic within a directory on POSIX: readers see the old or the new
-  // journal, never a torn one.
-  TDFM_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
-             "failed renaming journal into place: " + path);
+  std::string text;
+  for (const CellRecord& r : records) text += to_jsonl(r) + '\n';
+  core::write_file_atomic(path, text);
 }
 
 }  // namespace tdfm::study

@@ -2,17 +2,12 @@
 // cell, safe under concurrent writer *processes*.
 //
 // The journal is what makes a killed 2-hour sweep restartable — and what
-// makes a sharded multi-process sweep mergeable.  Every completed cell
-// appends exactly one self-contained JSON line in a single locked
-// write(2) + fdatasync(2) (core::AppendFile), so:
-//
-//   - appends are O(1) in journal size (no rewrite of earlier records);
-//   - two writers on the same file interleave whole lines, never bytes
-//     (flock(2) around the write);
-//   - a kill -9 can tear at most the final line.  `Journal::load` recovers
-//     that case: an unterminated, unparseable tail is dropped (the at-most-
-//     one in-flight cell), while an unparseable *terminated* line is real
-//     corruption and still throws.
+// makes a sharded multi-process sweep mergeable.  It is a core::DurableLog,
+// so core/durable.hpp's crash contract holds: appends are one locked
+// write(2) + fdatasync(2) of one line, O(1) in journal size, and two
+// writers on one file interleave whole lines; on load a missing file is a
+// fresh campaign and only a torn final line is recovered.  This file keeps
+// the record codec and the shard merge.
 //
 // On `--resume` the scheduler loads the journal, keeps the records whose
 // cell ids appear in the current expansion, and skips those cells.  Records
@@ -25,13 +20,11 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "core/file_lock.hpp"
+#include "core/durable.hpp"
 
 namespace tdfm::study {
 
@@ -74,41 +67,18 @@ struct CellRecord {
 /// missing required fields; unknown keys are ignored (forward compat).
 [[nodiscard]] CellRecord parse_record(std::string_view line);
 
-/// Append-only journal bound to a file path.  Thread-safe within a process
-/// (the scheduler's job workers append concurrently) and write-safe across
-/// processes (each append is one flock-guarded write).  An empty path keeps
-/// the journal memory-only (tests, ephemeral bench runs).
-class Journal {
- public:
-  explicit Journal(std::string path) : path_(std::move(path)) {}
-
-  /// Loads every record of an existing journal file; a missing file yields
-  /// an empty vector (first run), but a file that exists and cannot be read
-  /// throws ConfigError — silently treating it as fresh would recompute a
-  /// finished campaign.  A torn final line (unterminated and unparseable:
-  /// the kill -9 signature) is dropped and reported via
-  /// `recovered_torn_tail`; any other malformed line throws.
-  [[nodiscard]] static std::vector<CellRecord> load(
-      const std::string& path, bool* recovered_torn_tail = nullptr);
-
-  /// Adopts records that are already persisted in this journal's file
-  /// (resume): they join the in-memory snapshot without being rewritten.
-  void adopt(std::vector<CellRecord> records);
-
-  /// Appends one record: O(1) — a single locked write+sync of one line.
-  void append(CellRecord record);
-
-  /// Snapshot of all records (adopted + appended), in append order.
-  [[nodiscard]] std::vector<CellRecord> records() const;
-
-  [[nodiscard]] const std::string& path() const { return path_; }
-
- private:
-  mutable std::mutex mu_;
-  std::string path_;
-  std::vector<CellRecord> records_;
-  std::unique_ptr<core::AppendFile> file_;  ///< opened lazily, first append
+/// The journal's record format, for core::DurableLog.
+struct JournalCodec {
+  static constexpr std::string_view kKind = "journal";
+  static std::string render(const CellRecord& r) { return to_jsonl(r); }
+  static CellRecord parse(std::string_view line) { return parse_record(line); }
+  static std::string flight_detail(const CellRecord& r) { return r.cell; }
 };
+
+/// Append-only journal bound to a file path (core/durable.hpp).  The
+/// scheduler's job workers append concurrently; an empty path keeps the
+/// journal memory-only (tests, ephemeral bench runs).
+using Journal = core::DurableLog<CellRecord, JournalCodec>;
 
 /// Result of fusing per-shard journals (merge_journals).
 struct MergeResult {
@@ -136,7 +106,7 @@ struct MergeResult {
 /// merged journal a pure function of the set of computed results.
 [[nodiscard]] MergeResult merge_journals(const std::vector<std::string>& paths);
 
-/// Writes `records` as a whole journal file atomically (tmp + rename):
+/// Writes `records` as a whole journal file with core::write_file_atomic:
 /// merge output must never be observable half-written.
 void write_journal(const std::string& path,
                    const std::vector<CellRecord>& records);

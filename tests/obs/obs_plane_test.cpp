@@ -151,6 +151,41 @@ TEST(SnapshotFormat, RejectsBadInput) {
   EXPECT_THROW((void)parse_snapshot("{\"type\":\"snapshot\""), ConfigError);
 }
 
+// A gauge may hold any double (Gauge::set); reading a negative one back
+// must not pass it through an integer conversion.
+TEST(SnapshotFormat, NegativeGaugeRoundTrips) {
+  MetricsSnapshot snap = shard_snapshot(0, 1, 5);
+  snap.samples[1].value = -2.5;
+  const std::string text = serialize_snapshot(snap);
+  const MetricsSnapshot back = parse_snapshot(text);
+  ASSERT_EQ(back.samples.size(), 3u);
+  EXPECT_EQ(back.samples[1].kind, MetricSample::Kind::kGauge);
+  EXPECT_EQ(back.samples[1].value, -2.5);
+  EXPECT_EQ(serialize_snapshot(back), text);
+}
+
+TEST(SnapshotFormat, OutOfRangeIntegerIsANamedError) {
+  const std::string header =
+      "{\"type\":\"snapshot\",\"schema_version\":1,\"pid\":1}\n";
+  for (const char* line :
+       {"{\"type\":\"counter\",\"name\":\"c\",\"value\":-1}\n",
+        "{\"type\":\"histogram\",\"name\":\"h\",\"count\":1,\"sum\":1,"
+        "\"upper_bounds\":[1.0],\"bucket_counts\":[1,1e300]}\n"}) {
+    try {
+      (void)parse_snapshot(header + line);
+      ADD_FAILURE() << "expected ConfigError for " << line;
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find("out of its integer range"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_THROW((void)parse_snapshot(
+                   "{\"type\":\"snapshot\",\"schema_version\":1,"
+                   "\"seq\":1e300}\n"),
+               ConfigError);
+}
+
 TEST(Aggregator, CountersSumAndOrderDoesNotMatter) {
   const MetricsSnapshot a = shard_snapshot(0, 1, 10);
   const MetricsSnapshot b = shard_snapshot(1, 1, 20);
@@ -433,6 +468,19 @@ TEST(TraceMerge, ThreeShardsFuseIntoOneOrderedTimeline) {
   const TraceMergeResult again = merge_chrome_traces({out}, dir + "/again.json");
   EXPECT_EQ(again.events, res.events);
   EXPECT_EQ(read_file(dir + "/again.json"), merged);
+}
+
+TEST(TraceMerge, OutOfRangeIntegerCountsAsOneSkippedLine) {
+  const TraceParse parse = parse_chrome_trace(
+      "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"
+      "{\"name\":\"a\",\"cat\":\"tdfm\",\"ph\":\"X\",\"pid\":1,"
+      "\"tid\":0,\"ts\":1e300,\"dur\":1},\n"
+      "{\"name\":\"b\",\"cat\":\"tdfm\",\"ph\":\"X\",\"pid\":1,"
+      "\"tid\":0,\"ts\":2,\"dur\":1}\n"
+      "]}\n");
+  EXPECT_EQ(parse.skipped_lines, 1u);
+  ASSERT_EQ(parse.events.size(), 1u);
+  EXPECT_EQ(parse.events[0].name, "b");
 }
 
 TEST(TraceMerge, RealWriterOutputRoundTrips) {

@@ -161,7 +161,7 @@ TEST(DecisionLog, AppendThenLoadRestoresDecisions) {
     DecisionLog log(file.path);
     log.append(a);
     log.append(b);
-    EXPECT_EQ(log.decisions().size(), 2U);
+    EXPECT_EQ(log.records().size(), 2U);
   }
   bool torn = true;
   const std::vector<Decision> loaded = DecisionLog::load(file.path, &torn);
@@ -207,6 +207,26 @@ TEST(DecisionLog, TerminatedGarbageThrows) {
     out << "corrupted but newline-terminated\n";  // not a torn tail
   }
   EXPECT_THROW((void)DecisionLog::load(file.path), Error);
+}
+
+TEST(DecisionLog, OutOfRangeRoundIsANamedLineError) {
+  const TempFile file("decision_log_range.jsonl");
+  {
+    DecisionLog log(file.path);
+    log.append(sample_decision());
+  }
+  {
+    std::ofstream out(file.path, std::ios::app);
+    out << "{\"round\": 1e300, \"action\": \"hold\"}\n";
+  }
+  try {
+    (void)DecisionLog::load(file.path);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2: field 'round'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(DecisionLog, ActionNamesRoundTrip) {

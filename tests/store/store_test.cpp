@@ -1,5 +1,6 @@
 // Results-store encoding primitives, codec, manifest, and the writer/reader
 // crash contract (src/store/).
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -227,6 +228,24 @@ TEST(ManifestFormat, NewerVersionThrows) {
   EXPECT_THROW(parse_manifest(text), ConfigError);
 }
 
+TEST(ManifestFormat, OutOfRangeIntegerIsANamedLineError) {
+  std::string text = render_manifest(sample_manifest());
+  const std::size_t pos = text.find("\"trial_min\":1");
+  ASSERT_NE(pos, std::string::npos);
+  text.replace(pos, std::string("\"trial_min\":1").size(), "\"trial_min\":-1");
+  const std::size_t line =
+      1 + static_cast<std::size_t>(std::count(text.begin(), text.begin() + pos, '\n'));
+  try {
+    (void)parse_manifest(text);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("line " + std::to_string(line) +
+                                         ": field 'trial_min'"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // --- writer/reader round trip ----------------------------------------------
 
 TEST(StoreRoundTrip, PreservesEveryFieldAcrossSegments) {
@@ -317,6 +336,36 @@ TEST(StoreRoundTrip, ImportThrowsOnTerminatedGarbage) {
   const std::string journal = dir + ".jsonl";
   std::ofstream(journal, std::ios::binary) << "not json at all\n";
   EXPECT_THROW(import_journal(journal, dir), ConfigError);
+}
+
+// Only a regular file is a journal: a directory must not import as an
+// empty store (and then verify against its own empty read).
+TEST(StoreRoundTrip, ImportRefusesADirectory) {
+  const std::string dir = temp_dir("import_dir");
+  const std::string journal = dir + ".journal_dir";
+  fs::create_directories(journal);
+  try {
+    (void)import_journal(journal, dir);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(journal), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(fs::exists(dir));
+  fs::remove_all(journal);
+}
+
+TEST(StoreRoundTrip, ImportRefusesAMissingJournal) {
+  const std::string dir = temp_dir("import_missing");
+  const std::string journal = dir + ".absent.jsonl";
+  try {
+    (void)import_journal(journal, dir);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(journal), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(fs::exists(dir));
 }
 
 TEST(StoreWriter, ExtendsAnExistingStoreKeepingDictionaryIds) {

@@ -296,5 +296,27 @@ TEST(Journal, LoadReportsLineNumbersOnCorruption) {
   std::remove(path.c_str());
 }
 
+// An integer field outside its type's range is a named error, not an
+// undefined float-to-integer conversion.
+TEST(Journal, OutOfRangeTrialIsANamedLineError) {
+  const std::string path = temp_path("trial_range");
+  std::string bad = to_jsonl(sample_record());
+  const std::string trial = "\"trial\": 2";
+  bad.replace(bad.find(trial), trial.size(), "\"trial\": -1");
+  {
+    std::ofstream out(path, std::ios::trunc | std::ios::binary);
+    out << to_jsonl(sample_record()) << "\n" << bad << "\n";
+  }
+  try {
+    (void)Journal::load(path);
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2: field 'trial'"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace tdfm::study
