@@ -1,5 +1,5 @@
 // The stride-1 col2im gather as plain loops (kernels.hpp, Col2ImFn): the
-// scalar and sse2 tables' entry.  Compiled like gemm_scalar.cpp
+// scalar table's entry.  Compiled like gemm_scalar.cpp
 // (vectorization and FP contraction off).
 //
 // Each input element starts from its value in the buffer, adds the patch

@@ -15,15 +15,6 @@ constexpr KernelTable kScalarTable{
     gemm_nn_rows_scalar,   gemm_nt_rows_scalar,   gemm_tn_rows_scalar,
     gemm_q8_rows_scalar,   quantize_q8_rows_scalar, dw_forward_scalar,
     dw_input_grad_scalar,  dw_weight_grad_scalar, col2im_s1_scalar};
-// SSE2 has no efficient int8 widening (needs SSE4.1) and no float trunc
-// (SSE4.1 round), so its q8 entries are the scalar ones — q8 results are
-// exact either way, the choice is pure speed.  Its depthwise entries are the
-// scalar ones too: a 4-lane run would double the channel-lane code for a
-// table no end-to-end number runs.  So is its col2im gather.
-constexpr KernelTable kSse2Table{
-    gemm_nn_rows_sse2,     gemm_nt_rows_sse2,     gemm_tn_rows_sse2,
-    gemm_q8_rows_scalar,   quantize_q8_rows_scalar, dw_forward_scalar,
-    dw_input_grad_scalar,  dw_weight_grad_scalar, col2im_s1_scalar};
 constexpr KernelTable kAvx2Table{
     gemm_nn_rows_avx2,     gemm_nt_rows_avx2,     gemm_tn_rows_avx2,
     gemm_q8_rows_avx2,     quantize_q8_rows_avx2, dw_forward_avx2,
@@ -35,7 +26,6 @@ std::atomic<int> g_active{-1};
 
 KernelKind best_supported() {
   if (kernel_supported(KernelKind::kAvx2)) return KernelKind::kAvx2;
-  if (kernel_supported(KernelKind::kSse2)) return KernelKind::kSse2;
   return KernelKind::kScalar;
 }
 
@@ -45,7 +35,7 @@ KernelKind resolve_from_env() {
   const auto parsed = parse_kernel(env);
   if (!parsed.has_value()) {
     throw std::runtime_error(std::string("TDFM_KERNEL: unknown kernel '") +
-                             env + "' (expected scalar|sse2|avx2)");
+                             env + "' (expected scalar|avx2)");
   }
   if (!kernel_supported(*parsed)) {
     throw std::runtime_error(std::string("TDFM_KERNEL: kernel '") + env +
@@ -59,7 +49,6 @@ KernelKind resolve_from_env() {
 const char* kernel_name(KernelKind kind) {
   switch (kind) {
     case KernelKind::kScalar: return "scalar";
-    case KernelKind::kSse2: return "sse2";
     case KernelKind::kAvx2: return "avx2";
   }
   return "unknown";
@@ -67,7 +56,6 @@ const char* kernel_name(KernelKind kind) {
 
 std::optional<KernelKind> parse_kernel(std::string_view name) {
   if (name == "scalar") return KernelKind::kScalar;
-  if (name == "sse2") return KernelKind::kSse2;
   if (name == "avx2") return KernelKind::kAvx2;
   return std::nullopt;
 }
@@ -77,13 +65,10 @@ bool kernel_supported(KernelKind kind) {
     case KernelKind::kScalar:
       return true;
 #if defined(__x86_64__) || defined(__i386__)
-    case KernelKind::kSse2:
-      return __builtin_cpu_supports("sse2") != 0;
     case KernelKind::kAvx2:
       return __builtin_cpu_supports("avx2") != 0 &&
              __builtin_cpu_supports("fma") != 0;
 #else
-    case KernelKind::kSse2:
     case KernelKind::kAvx2:
       return false;
 #endif
@@ -93,7 +78,6 @@ bool kernel_supported(KernelKind kind) {
 
 std::vector<KernelKind> supported_kernels() {
   std::vector<KernelKind> out{KernelKind::kScalar};
-  if (kernel_supported(KernelKind::kSse2)) out.push_back(KernelKind::kSse2);
   if (kernel_supported(KernelKind::kAvx2)) out.push_back(KernelKind::kAvx2);
   return out;
 }
@@ -117,7 +101,6 @@ void set_active_kernel(KernelKind kind) {
 
 const KernelTable& kernel_table(KernelKind kind) {
   switch (kind) {
-    case KernelKind::kSse2: return kSse2Table;
     case KernelKind::kAvx2: return kAvx2Table;
     case KernelKind::kScalar: break;
   }

@@ -1,11 +1,11 @@
 // Internal: per-instruction-set kernel entry points.
 //
-// One symbol set per TU (gemm_{scalar,sse2,avx2}.cpp, which also hold the
-// q8 matmuls and the avx2 quantizer, quant.cpp with the scalar quantizer,
+// One symbol set per TU (gemm_{scalar,avx2}.cpp, which also hold the q8
+// matmuls and the avx2 quantizer, quant.cpp with the scalar quantizer,
 // depthwise_{scalar,avx2}.cpp and col2im_{scalar,avx2}.cpp) so each can
 // carry its own compile flags; dispatch.cpp assembles them into the public
-// KernelTables.  On non-x86 targets the sse2/avx2 TUs compile as forwarders
-// to the scalar kernels (and cpuid reports them unsupported).
+// KernelTables.  On non-x86 targets the avx2 TUs compile as forwarders to
+// the scalar kernels (and cpuid reports them unsupported).
 #pragma once
 
 #include <cstddef>
@@ -56,16 +56,6 @@ void quantize_q8_rows_scalar(const float* src, std::size_t rows,
                              float* scales);
 void quantize_q8_rows_avx2(const float* src, std::size_t rows,
                            std::size_t cols, std::int8_t* codes, float* scales);
-
-void gemm_nn_rows_sse2(std::size_t r0, std::size_t r1, std::size_t m,
-                       std::size_t n, std::size_t k, const float* a,
-                       const float* b, float* c, bool accumulate);
-void gemm_nt_rows_sse2(std::size_t r0, std::size_t r1, std::size_t m,
-                       std::size_t n, std::size_t k, const float* a,
-                       const float* b, float* c, bool accumulate);
-void gemm_tn_rows_sse2(std::size_t r0, std::size_t r1, std::size_t m,
-                       std::size_t n, std::size_t k, const float* a,
-                       const float* b, float* c, bool accumulate);
 
 void gemm_nn_rows_avx2(std::size_t r0, std::size_t r1, std::size_t m,
                        std::size_t n, std::size_t k, const float* a,

@@ -4,16 +4,16 @@
 // hand-vectorized inner loops behind tensor/gemm.hpp, tensor/qgemm.hpp, q8_0
 // quantization (kernels/quant.hpp), the depthwise convolution
 // (nn::DepthwiseConv2D) and col2im's stride-1 path (tensor/im2col.hpp).
-// One implementation table exists per instruction set:
+// Two implementation tables exist:
 //
 //   scalar  the reference: plain loops, vectorization and FP contraction
 //           disabled at compile time, so its arithmetic is the canonical
-//           mul-then-add semantics every other kernel is checked against
-//   sse2    128-bit mul+add loops (x86-64 baseline, no FMA)
+//           mul-then-add semantics every avx2 kernel is checked against;
+//           also the fallback on hosts without AVX2+FMA
 //   avx2    256-bit FMA micro-kernels, register-blocked 8xN tiles
 //
 // The active table is picked once, lazily: the TDFM_KERNEL env var
-// (scalar|sse2|avx2) wins, otherwise cpuid chooses the best supported set.
+// (scalar|avx2) wins, otherwise avx2 when cpuid reports AVX2 and FMA.
 // set_active_kernel() overrides it at runtime (bench --kernel A/B runs).
 //
 // Every kernel computes a *row range* [r0, r1) of the output so the caller
@@ -51,7 +51,7 @@
 
 namespace tdfm::kernels {
 
-enum class KernelKind : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class KernelKind : int { kScalar = 0, kAvx2 = 1 };
 
 /// Computes rows [r0, r1) of C for one GEMM variant (nn/nt/tn as defined in
 /// tensor/gemm.hpp).  `m` is the full row count (gemm_tn reads A with stride
@@ -156,7 +156,7 @@ struct KernelTable {
   Col2ImFn col2im_s1;
 };
 
-/// "scalar", "sse2", "avx2".
+/// "scalar", "avx2".
 [[nodiscard]] const char* kernel_name(KernelKind kind);
 
 /// Inverse of kernel_name; nullopt for unknown names.

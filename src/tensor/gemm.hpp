@@ -5,7 +5,7 @@
 // has its own kernels, kernels/kernels.hpp).  This layer owns threading (row-range
 // chunks over core::parallel_for) and FLOP accounting; the inner loops live
 // in tdfm::kernels, selected once at startup by cpuid or the TDFM_KERNEL
-// env var (scalar|sse2|avx2).  The avx2 table uses register-blocked 8xN
+// env var (scalar|avx2).  The avx2 table uses register-blocked 8xN
 // FMA micro-tiles; scalar is the compile-time-devectorized reference every
 // other kernel is checked against (tests/kernels).  Within one kernel
 // choice results are bit-identical at any thread count.

@@ -1,8 +1,7 @@
 // Depthwise kernels vs the per-plane loops they replaced.
 //
-// Every table's channel-run entries must be memcmp-equal to that table's
-// parent loops (tests/kernels/dw_parent_loops.cpp; the sse2 table now runs
-// the scalar entries, so its oracle is the scalar loops): the forward pass,
+// Both tables' channel-run entries must be memcmp-equal to that table's
+// parent loops (tests/kernels/dw_parent_loops.cpp): the forward pass,
 // the input gradient, and the weight and bias gradients accumulated into
 // nonzero values.  The inputs carry +-0, and +-Inf/NaN gradients under zero
 // filter taps, which the input gradient must not let leak into neighbours;
@@ -189,9 +188,7 @@ TEST(DwChecker, RunsMatchParentLoopsBitForBit) {
       for (const KernelKind kind : kernels::supported_kernels()) {
         const kernels::KernelTable& table = kernels::kernel_table(kind);
         const std::string what = describe(kind, g, channels);
-        const ParentResults ref =
-            run_parent(kind == KernelKind::kAvx2 ? kind : KernelKind::kScalar, g,
-                       channels, ops);
+        const ParentResults ref = run_parent(kind, g, channels, ops);
         Guarded out(channels * plane_out), din(channels * plane_in);
         Guarded dfilter(channels * taps), dbias(channels);
         std::copy(ops.dfilter_seed.begin(), ops.dfilter_seed.end(), dfilter.data());

@@ -1,9 +1,8 @@
-// Copies of each kernel table's depthwise loops as they stood before the
+// Copies of both kernel tables' depthwise loops as they stood before the
 // kernels moved to channel runs (one plane per call over a stride-phase
 // split padded plane): the oracle of DwChecker.RunsMatchParentLoopsBitForBit.
-// The sse2 table's entries are now the scalar ones, so the scalar loops are
-// its oracle too.  dw_parent_loops.cpp carries the kernel TUs' determinism
-// flags (tests/CMakeLists.txt).
+// dw_parent_loops.cpp carries the kernel TUs' determinism flags
+// (tests/CMakeLists.txt).
 #pragma once
 
 #include <cstddef>

@@ -35,29 +35,6 @@ void tn_parent_scalar(std::size_t r0, std::size_t r1, std::size_t m,
 
 #if defined(__x86_64__) || defined(__i386__)
 
-void tn_parent_sse2(std::size_t r0, std::size_t r1, std::size_t m,
-                    std::size_t n, std::size_t k, const float* a,
-                    const float* b, float* c, bool accumulate) {
-  if (!accumulate) std::memset(c + r0 * n, 0, (r1 - r0) * n * sizeof(float));
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* __restrict__ arow = a + p * m;
-    const float* __restrict__ brow = b + p * n;
-    for (std::size_t i = r0; i < r1; ++i) {
-      const float av = arow[i];
-      if (av == 0.0F) continue;
-      float* __restrict__ crow = c + i * n;
-      const __m128 avv = _mm_set1_ps(av);
-      std::size_t j = 0;
-      for (; j + 4 <= n; j += 4) {
-        const __m128 bv = _mm_loadu_ps(brow + j);
-        const __m128 cv = _mm_loadu_ps(crow + j);
-        _mm_storeu_ps(crow + j, _mm_add_ps(cv, _mm_mul_ps(avv, bv)));
-      }
-      for (; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-}
-
 __attribute__((target("avx2,fma"))) void tn_parent_avx2(
     std::size_t r0, std::size_t r1, std::size_t m, std::size_t n,
     std::size_t k, const float* a, const float* b, float* c, bool accumulate) {
@@ -146,13 +123,8 @@ __attribute__((target("avx2,fma"))) void nt_parent_avx2(
   }
 }
 
-#else  // non-x86: the sse2 and avx2 tables forward to the scalar kernels
+#else  // non-x86: the avx2 table forwards to the scalar kernels
 
-void tn_parent_sse2(std::size_t r0, std::size_t r1, std::size_t m,
-                    std::size_t n, std::size_t k, const float* a,
-                    const float* b, float* c, bool accumulate) {
-  tn_parent_scalar(r0, r1, m, n, k, a, b, c, accumulate);
-}
 void tn_parent_avx2(std::size_t r0, std::size_t r1, std::size_t m,
                     std::size_t n, std::size_t k, const float* a,
                     const float* b, float* c, bool accumulate) {

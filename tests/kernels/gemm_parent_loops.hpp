@@ -13,9 +13,6 @@ namespace tdfm::kernels_test {
 void tn_parent_scalar(std::size_t r0, std::size_t r1, std::size_t m,
                       std::size_t n, std::size_t k, const float* a,
                       const float* b, float* c, bool accumulate);
-void tn_parent_sse2(std::size_t r0, std::size_t r1, std::size_t m,
-                    std::size_t n, std::size_t k, const float* a,
-                    const float* b, float* c, bool accumulate);
 void tn_parent_avx2(std::size_t r0, std::size_t r1, std::size_t m,
                     std::size_t n, std::size_t k, const float* a,
                     const float* b, float* c, bool accumulate);

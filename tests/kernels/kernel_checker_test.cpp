@@ -67,6 +67,20 @@ kernels::GemmRowsFn variant_fn(const kernels::KernelTable& table, int variant) {
 
 constexpr const char* kVariantNames[] = {"nn", "nt", "tn"};
 
+TEST(KernelDispatch, NamesExactlyTheScalarAndAvx2Tables) {
+  using kernels::KernelKind;
+  EXPECT_FALSE(kernels::parse_kernel("sse2").has_value());
+  EXPECT_STREQ(kernels::kernel_name(KernelKind::kScalar), "scalar");
+  EXPECT_STREQ(kernels::kernel_name(KernelKind::kAvx2), "avx2");
+  for (const KernelKind kind : {KernelKind::kScalar, KernelKind::kAvx2}) {
+    EXPECT_EQ(kernels::parse_kernel(kernels::kernel_name(kind)), kind)
+        << kernels::kernel_name(kind);
+  }
+  std::vector<KernelKind> want{KernelKind::kScalar};
+  if (kernels::kernel_supported(KernelKind::kAvx2)) want.push_back(KernelKind::kAvx2);
+  EXPECT_EQ(kernels::supported_kernels(), want);
+}
+
 TEST(KernelChecker, Fp32VariantsMatchScalarReference) {
   const auto& ref_table = kernels::kernel_table(kernels::KernelKind::kScalar);
   for (const GemmShape& s : checker_shapes()) {
@@ -127,11 +141,8 @@ TEST(KernelChecker, RowPartitionIsBitIdentical) {
 
 /// The parent loop of `kind`'s tn entry (gemm_parent_loops.hpp).
 kernels::GemmRowsFn tn_parent(kernels::KernelKind kind) {
-  switch (kind) {
-    case kernels::KernelKind::kScalar: return kernels_test::tn_parent_scalar;
-    case kernels::KernelKind::kSse2: return kernels_test::tn_parent_sse2;
-    default: return kernels_test::tn_parent_avx2;
-  }
+  return kind == kernels::KernelKind::kScalar ? kernels_test::tn_parent_scalar
+                                               : kernels_test::tn_parent_avx2;
 }
 
 /// Runs every table's tn entry and its parent loop on the same operands,
@@ -234,8 +245,8 @@ TEST(KernelChecker, TnMatchesParentLoopBitForBit) {
 
 /// Runs the avx2 nt entry and its parent loop (gemm_parent_loops.hpp) on
 /// the same operands, accumulate off and on, whole and in row chunks, and
-/// compares C plus 8 guard floats past its end with memcmp.  The scalar and
-/// sse2 nt entries are the parent loops themselves.
+/// compares C plus 8 guard floats past its end with memcmp.  The scalar nt
+/// entry is the parent loop itself.
 void expect_nt_matches_parent(std::size_t m, std::size_t n, std::size_t k,
                               const float* a, const float* b, const float* c0,
                               const std::string& what) {

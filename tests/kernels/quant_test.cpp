@@ -166,7 +166,7 @@ TEST(Quant, QuantizedLogitsMatchPinnedDigestsAtEveryTable) {
   struct Pinned {
     models::Arch arch;
     bool batchnorm;
-    std::uint64_t digest;       ///< scalar and sse2
+    std::uint64_t digest;       ///< scalar
     std::uint64_t avx2_digest;
   };
   const Pinned pinned[] = {

@@ -261,9 +261,7 @@ TEST(Train, ConvNetWeightsMatchPinnedDigestsAtEveryTable) {
   //    (BatchNorm2D on 1-px planes, no depthwise) hash their parameters and
   //    then the eval-mode logits of the 64 images, so the running statistics
   //    are pinned too; recorded before the channel-lane depthwise kernels
-  //    and BatchNorm2D passes.  MobileNet's sse2 value was re-recorded once,
-  //    when the sse2 table took the scalar depthwise entries (its weight
-  //    gradient now rounds as scalar's).
+  //    and BatchNorm2D passes.
   // The trainer, the optimisers and the layers' own fp32 loops contract into
   // FMA in an -march=native build on an FMA host, where the digests were
   // recorded; elsewhere nothing is pinned.
@@ -279,16 +277,12 @@ TEST(Train, ConvNetWeightsMatchPinnedDigestsAtEveryTable) {
   using kernels::KernelKind;
   const Pinned pinned[] = {
       {Arch::kConvNet, KernelKind::kScalar, 0x1d24bfc967a7ef25ULL},
-      {Arch::kConvNet, KernelKind::kSse2, 0xd9e2b6e5a236cb11ULL},
       {Arch::kConvNet, KernelKind::kAvx2, 0xb97d98185d5117a7ULL},
       {Arch::kDeconvNet, KernelKind::kScalar, 0x3d95dfc684df7bf3ULL},
-      {Arch::kDeconvNet, KernelKind::kSse2, 0x305c3f7d397ef3a1ULL},
       {Arch::kDeconvNet, KernelKind::kAvx2, 0x656560f04a1715b8ULL},
       {Arch::kMobileNet, KernelKind::kScalar, 0x7dce786d4df2c26cULL},
-      {Arch::kMobileNet, KernelKind::kSse2, 0xbf3f175a0fca4061ULL},
       {Arch::kMobileNet, KernelKind::kAvx2, 0x459ec801e7139bf5ULL},
       {Arch::kVGG11, KernelKind::kScalar, 0x4d3866d1d016f51eULL},
-      {Arch::kVGG11, KernelKind::kSse2, 0x969952ca924ef2d4ULL},
       {Arch::kVGG11, KernelKind::kAvx2, 0x737773f89cf7da68ULL},
   };
   kernels_test::KernelGuard guard;
