@@ -27,6 +27,22 @@ namespace {
 constexpr std::size_t kMinMatch = 4;
 constexpr std::size_t kMaxOffset = 65535;
 constexpr std::size_t kHashBits = 15;
+// The most bytes one compressed byte can decode to: a length-run byte adds
+// at most 255 to a match, and every other byte yields fewer.
+constexpr std::size_t kTlzMaxExpansion = 255;
+// Deflate's limit: a 258-byte match coded in two bits.
+constexpr std::size_t kZlibMaxExpansion = 1032;
+
+/// Throws unless `comp` can decode to `raw_size` bytes, so a size forged in
+/// a segment or telemetry block never sizes an allocation.
+void check_expansion(const char* codec, std::string_view comp,
+                     std::size_t raw_size, std::size_t max_expansion) {
+  if (raw_size / max_expansion > comp.size()) {
+    throw ConfigError(std::string("store block: ") + codec + " block of " +
+                      std::to_string(comp.size()) + " bytes cannot decode to " +
+                      std::to_string(raw_size) + " bytes");
+  }
+}
 
 std::uint32_t hash4(const char* p) {
   std::uint32_t v;
@@ -103,6 +119,7 @@ std::string tlz_compress(std::string_view raw) {
 }
 
 std::string tlz_decompress(std::string_view comp, std::size_t raw_size) {
+  check_expansion("tlz", comp, raw_size, kTlzMaxExpansion);
   std::string out;
   out.reserve(raw_size);
   std::size_t pos = 0;
@@ -183,6 +200,7 @@ std::string decompress_block(Codec codec, std::string_view comp,
       return tlz_decompress(comp, raw_size);
     case Codec::kZlib: {
 #ifdef TDFM_HAVE_ZLIB
+      check_expansion("zlib", comp, raw_size, kZlibMaxExpansion);
       std::string out(raw_size, '\0');
       uLongf dest_len = static_cast<uLongf>(raw_size);
       const int rc =

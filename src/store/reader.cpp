@@ -41,7 +41,7 @@ std::string read_range(const std::string& path, std::uint64_t offset,
 
 void check_magic(std::string_view bytes, std::size_t& pos,
                  const std::string& what) {
-  if (pos + 4 > bytes.size()) throw ConfigError(what + ": truncated magic");
+  if (4 > bytes.size() - pos) throw ConfigError(what + ": truncated magic");
   std::uint32_t magic = 0;
   for (int i = 0; i < 4; ++i) {
     magic |= static_cast<std::uint32_t>(static_cast<std::uint8_t>(bytes[pos + i]))
@@ -94,7 +94,7 @@ DecodedSegment decode_segment(std::string_view seg, const SegmentMeta& meta,
     const auto codec = static_cast<Codec>(static_cast<std::uint8_t>(seg[pos++]));
     const std::uint64_t raw_size = core::get_varint(seg, pos);
     const std::uint64_t comp_size = core::get_varint(seg, pos);
-    if (pos + comp_size > seg.size()) {
+    if (comp_size > seg.size() - pos) {
       throw ConfigError("store segment: block overruns segment");
     }
     columns[column] =
@@ -110,23 +110,31 @@ DecodedSegment decode_segment(std::string_view seg, const SegmentMeta& meta,
     return it->second;
   };
 
+  // Every row takes at least one byte of the cell column, so a row count
+  // forged in the manifest (which no checksum covers) cannot size the
+  // allocation below.
   const std::size_t n = meta.rows;
+  const std::string& cells = column(ColumnId::kCell);
+  if (n > cells.size()) {
+    throw ConfigError("store segment: manifest declares " + std::to_string(n) +
+                      " rows but the cell column holds " +
+                      std::to_string(cells.size()) + " bytes");
+  }
   DecodedSegment out;
   out.records.resize(n);
 
   {
-    const std::string& col = column(ColumnId::kCell);
     std::size_t p = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      const std::uint64_t tag = core::get_varint(col, p);
+      const std::uint64_t tag = core::get_varint(cells, p);
       if (tag == 0) {
-        out.records[i].cell = format_hex16(core::get_fixed64(col, p));
+        out.records[i].cell = format_hex16(core::get_fixed64(cells, p));
       } else {
         const std::size_t len = tag - 1;
-        if (p + len > col.size()) {
+        if (len > cells.size() - p) {
           throw ConfigError("store segment: truncated cell string");
         }
-        out.records[i].cell = col.substr(p, len);
+        out.records[i].cell = cells.substr(p, len);
         p += len;
       }
     }
@@ -148,7 +156,11 @@ DecodedSegment decode_segment(std::string_view seg, const SegmentMeta& meta,
     std::size_t p = 0;
     std::int64_t prev = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      prev += core::zigzag_decode(core::get_varint(col, p));
+      if (__builtin_add_overflow(prev, core::zigzag_decode(core::get_varint(col, p)),
+                                 &prev)) {
+        throw ConfigError("store segment: trial deltas overflow at row " +
+                          std::to_string(i));
+      }
       out.records[i].trial = static_cast<std::size_t>(prev);
     }
   }
@@ -181,7 +193,7 @@ DecodedSegment decode_segment(std::string_view seg, const SegmentMeta& meta,
     for (std::uint64_t e = 0; e < count; ++e) {
       const std::uint64_t row = core::get_varint(col, p);
       const std::uint64_t len = core::get_varint(col, p);
-      if (row >= n || p + len > col.size()) {
+      if (row >= n || len > col.size() - p) {
         throw ConfigError("store segment: malformed exception entry");
       }
       out.exceptions.emplace(static_cast<std::size_t>(row), col.substr(p, len));
@@ -209,16 +221,20 @@ StoreReader::StoreReader(std::string dir) : dir_(std::move(dir)) {
     throw ConfigError("store " + dir_ + ": manifest names segments but " +
                       std::string(kDataFile) + " cannot be read");
   }
+  // Written without a sum, which a forged offset or size could wrap.
+  const auto overruns_file = [on_disk](const SegmentMeta& s) {
+    return s.bytes > on_disk || s.offset > on_disk - s.bytes;
+  };
   // External truncation (a partial copy, a torn disk image) can only eat a
   // *suffix* of segments.bin — recover like a torn journal tail: drop
   // trailing segments whose bytes are gone or damaged, then re-account.
   bool dropped = false;
   while (!manifest_.segments.empty()) {
     const SegmentMeta& last = manifest_.segments.back();
-    if (last.offset + last.bytes > on_disk) {
+    if (overruns_file(last)) {
       TDFM_LOG(kWarn) << "store " << dir_ << ": dropping truncated final "
-                      << "segment (" << last.rows << " rows, needs "
-                      << last.offset + last.bytes << " bytes, file has "
+                      << "segment (" << last.rows << " rows, " << last.bytes
+                      << " bytes at offset " << last.offset << ", file has "
                       << on_disk << ")";
       manifest_.segments.pop_back();
       dropped = true;
@@ -235,6 +251,16 @@ StoreReader::StoreReader(std::string dir) : dir_(std::move(dir)) {
       continue;
     }
     break;
+  }
+  // Truncation cannot cut an earlier segment and leave the final one whole,
+  // so an earlier segment past the end of the file is a damaged manifest.
+  for (const SegmentMeta& seg : manifest_.segments) {
+    if (overruns_file(seg)) {
+      throw ConfigError("store " + dir_ + ": segment at offset " +
+                        std::to_string(seg.offset) + " (" +
+                        std::to_string(seg.bytes) + " bytes) overruns " +
+                        kDataFile + " (" + std::to_string(on_disk) + " bytes)");
+    }
   }
   if (dropped) {
     recovered_truncated_tail_ = true;
@@ -349,7 +375,6 @@ ScanStats StoreReader::query(const Query& q, const RowFn& on_row) const {
 
 std::vector<study::CellRecord> StoreReader::read_all() const {
   std::vector<study::CellRecord> out;
-  out.reserve(manifest_.rows);
   query({}, [&](const study::CellRecord& r, const std::string&) {
     out.push_back(r);
   });
@@ -382,7 +407,7 @@ std::size_t StoreReader::restore_telemetry(const std::string& out_dir) const {
   fs::create_directories(out_dir);
   for (std::uint64_t f = 0; f < files; ++f) {
     const std::uint64_t name_len = core::get_varint(blob, pos);
-    if (pos + name_len > blob.size()) {
+    if (name_len > blob.size() - pos) {
       throw ConfigError("store telemetry: truncated file name");
     }
     const std::string name = blob.substr(pos, name_len);
@@ -394,7 +419,7 @@ std::size_t StoreReader::restore_telemetry(const std::string& out_dir) const {
     const auto codec = static_cast<Codec>(static_cast<std::uint8_t>(blob[pos++]));
     const std::uint64_t raw_size = core::get_varint(blob, pos);
     const std::uint64_t comp_size = core::get_varint(blob, pos);
-    if (pos + comp_size > blob.size()) {
+    if (comp_size > blob.size() - pos) {
       throw ConfigError("store telemetry: truncated file body");
     }
     const std::string content =
