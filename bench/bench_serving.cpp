@@ -144,12 +144,12 @@ int run(int argc, char** argv) {
     return 0;
   }
   const LoadgenOptions load = parse_loadgen_flags(cli);
-  const auto workers = static_cast<std::size_t>(cli.get_int("workers"));
+  const auto workers = cli.get_size("workers");
   TDFM_CHECK(workers >= 1, "--workers must be >= 1");
   const std::vector<std::size_t> batch_sizes =
       parse_size_list(cli.get_string("batch-sizes"));
   const auto queue_delay_us = cli.get_u64("queue-delay-us");
-  const auto queue_depth = static_cast<std::size_t>(cli.get_int("queue-depth"));
+  const auto queue_depth = cli.get_size("queue-depth");
   const auto deadline_ms = cli.get_u64("deadline-ms");
   const std::string ckpt_path = cli.get_string("checkpoint");
   const bool quantize = cli.get_bool("quantize");

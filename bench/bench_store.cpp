@@ -97,7 +97,7 @@ int main(int argc, char** argv) try {
   BenchSettings settings;
   if (!parse_bench_flags(argc, argv, cli, settings)) return 0;
 
-  const std::size_t rows = static_cast<std::size_t>(cli.get_int("rows"));
+  const std::size_t rows = cli.get_size("rows");
   const bool keep = !cli.get_string("dir").empty();
   const std::string dir =
       keep ? cli.get_string("dir") : std::string("bench_store.tmp");
@@ -119,7 +119,7 @@ int main(int argc, char** argv) try {
 
   store::WriterOptions opts;
   if (cli.get_int("segment-rows") > 0) {
-    opts.segment_rows = static_cast<std::size_t>(cli.get_int("segment-rows"));
+    opts.segment_rows = cli.get_size("segment-rows");
   }
   const auto t_import = Clock::now();
   const store::ImportStats import =

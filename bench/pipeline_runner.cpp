@@ -72,10 +72,10 @@ int run(int argc, char** argv) {
   cfg.stream.mislabel_percent = cli.get_double("fault-rate");
   cfg.stream.repeat_percent = cli.get_double("repeat-rate");
   cfg.stream.remove_percent = cli.get_double("remove-rate");
-  cfg.stream.chunk_size = static_cast<std::size_t>(cli.get_int("chunk"));
-  cfg.ingest.window = static_cast<std::size_t>(cli.get_int("window"));
-  cfg.ingest.hop = static_cast<std::size_t>(cli.get_int("hop"));
-  const std::size_t capacity = static_cast<std::size_t>(cli.get_int("capacity"));
+  cfg.stream.chunk_size = cli.get_size("chunk");
+  cfg.ingest.window = cli.get_size("window");
+  cfg.ingest.hop = cli.get_size("hop");
+  const std::size_t capacity = cli.get_size("capacity");
   cfg.ingest.capacity = capacity == 0 ? cfg.ingest.window * 4 : capacity;
   cfg.retrain.arch = models::arch_from_name(cli.get_string("model"));
   cfg.retrain.model_config.width = settings.width;
@@ -84,30 +84,26 @@ int run(int argc, char** argv) {
   cfg.retrain.train_opts.epochs = settings.epochs;
   cfg.retrain.train_opts.threads = settings.threads;
   cfg.retrain.metamorphic = cli.get_bool("metamorphic");
-  cfg.retrain.metamorphic_factor =
-      static_cast<std::size_t>(cli.get_int("meta-factor"));
+  cfg.retrain.metamorphic_factor = cli.get_size("meta-factor");
   cfg.retrain.fault_aware = cli.get_bool("fault-aware");
   cfg.canary.ad_threshold = cli.get_double("ad-threshold");
   cfg.canary.accuracy_margin = cli.get_double("accuracy-margin");
   cfg.canary.rollback_factor = cli.get_double("rollback-factor");
   cfg.engine.workers = std::max<std::size_t>(1, settings.jobs);
-  cfg.engine.batching.max_batch_size =
-      static_cast<std::size_t>(cli.get_int("max-batch"));
+  cfg.engine.batching.max_batch_size = cli.get_size("max-batch");
   cfg.engine.batching.max_queue_delay_us = cli.get_u64("queue-delay-us");
-  cfg.engine.batching.max_queue_depth =
-      static_cast<std::size_t>(cli.get_int("queue-depth"));
+  cfg.engine.batching.max_queue_depth = cli.get_size("queue-depth");
   cfg.canary_fraction = cli.get_double("canary-fraction");
-  cfg.serve_per_round = static_cast<std::size_t>(cli.get_int("serve-per-round"));
-  cfg.retrain_every = static_cast<std::size_t>(cli.get_int("retrain-every"));
-  cfg.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
+  cfg.serve_per_round = cli.get_size("serve-per-round");
+  cfg.retrain_every = cli.get_size("retrain-every");
+  cfg.rounds = cli.get_size("rounds");
   cfg.duration_s = cli.get_double("duration");
   cfg.corrupt_round = cli.get_u64("corrupt-round");
   cfg.corruption.mode =
       pipeline::corruption_mode_from_name(cli.get_string("corrupt-mode"));
   cfg.corruption.fraction = cli.get_double("corrupt-fraction");
   cfg.quantize = cli.get_bool("quantize");
-  cfg.bootstrap_epochs =
-      static_cast<std::size_t>(cli.get_int("bootstrap-epochs"));
+  cfg.bootstrap_epochs = cli.get_size("bootstrap-epochs");
   cfg.decision_log_path = cli.get_string("decision-log");
   cfg.checkpoint_dir = cli.get_string("ckpt-dir");
   cfg.seed = settings.seed;

@@ -124,7 +124,7 @@ int cmd_import(int argc, char** argv) {
 
   store::WriterOptions opts;
   if (cli.get_int("segment-rows") > 0) {
-    opts.segment_rows = static_cast<std::size_t>(cli.get_int("segment-rows"));
+    opts.segment_rows = cli.get_size("segment-rows");
   }
   const store::ImportStats stats =
       store::import_journal(journal, dir, opts, cli.get_string("obs-dir"));

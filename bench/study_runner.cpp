@@ -352,17 +352,17 @@ int main(int argc, char** argv) try {
     }
   }
   if (overridden("trials")) {
-    spec.trials = static_cast<std::size_t>(cli.get_int("trials"));
+    spec.trials = cli.get_size("trials");
   }
   if (overridden("epochs")) {
-    spec.train_opts.epochs = static_cast<std::size_t>(cli.get_int("epochs"));
+    spec.train_opts.epochs = cli.get_size("epochs");
   }
   if (overridden("scale")) spec.scale = cli.get_double("scale");
   if (overridden("width")) {
-    spec.model_width = static_cast<std::size_t>(cli.get_int("width"));
+    spec.model_width = cli.get_size("width");
   }
   if (overridden("seed")) spec.seed = cli.get_u64("seed");
-  spec.train_opts.threads = static_cast<std::size_t>(cli.get_int("threads"));
+  spec.train_opts.threads = cli.get_size("threads");
 
   // Merge mode: fuse per-shard journals into --journal, then report.
   if (!cli.get_string("merge").empty()) {
@@ -421,8 +421,7 @@ int main(int argc, char** argv) try {
   }
 
   // Driver mode: one worker process per shard, then merge and report.
-  TDFM_CHECK(cli.get_int("spawn") >= 0, "--spawn wants N >= 0");
-  const std::size_t spawn = static_cast<std::size_t>(cli.get_int("spawn"));
+  const std::size_t spawn = cli.get_size("spawn");
   if (spawn > 0) {
     TDFM_CHECK(!journal_path.empty(),
                "--spawn needs --journal (merge target; per-shard journals "
@@ -529,7 +528,7 @@ int main(int argc, char** argv) try {
   }
 
   study::RunOptions run;
-  run.jobs = static_cast<std::size_t>(cli.get_int("jobs"));
+  run.jobs = cli.get_size("jobs");
   run.resume = cli.get_bool("resume");
   run.journal_path = journal_path;
   run.shuffle_seed = cli.get_u64("shuffle");

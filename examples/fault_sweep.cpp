@@ -33,17 +33,16 @@ int main(int argc, char** argv) try {
   if (!cli.parse(argc, argv)) return 0;
   set_log_level(LogLevel::kWarn);
   apply_obs_flags(cli);
-  core::ThreadPool::set_global_threads(
-      static_cast<std::size_t>(cli.get_int("threads")));
+  core::ThreadPool::set_global_threads(cli.get_size("threads"));
 
   study::StudySpec spec;
   spec.name = "fault-sweep";
   spec.datasets = {data::dataset_from_name(cli.get_string("dataset"))};
   spec.models = {models::arch_from_name(cli.get_string("model"))};
   spec.scale = cli.get_double("scale");
-  spec.model_width = static_cast<std::size_t>(cli.get_int("width"));
-  spec.trials = static_cast<std::size_t>(cli.get_int("trials"));
-  spec.train_opts.epochs = static_cast<std::size_t>(cli.get_int("epochs"));
+  spec.model_width = cli.get_size("width");
+  spec.trials = cli.get_size("trials");
+  spec.train_opts.epochs = cli.get_size("epochs");
   spec.seed = cli.get_u64("seed");
   {
     const std::string list = cli.get_string("techniques");

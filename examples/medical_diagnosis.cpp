@@ -30,8 +30,7 @@ int main(int argc, char** argv) try {
   add_obs_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
   apply_obs_flags(cli);
-  core::ThreadPool::set_global_threads(
-      static_cast<std::size_t>(cli.get_int("threads")));
+  core::ThreadPool::set_global_threads(cli.get_size("threads"));
 
   // The Pneumonia-sim dataset: binary chest-X-ray analogue, deliberately
   // small (~120 train images) like the real 5.2k-image dataset relative to
@@ -50,7 +49,7 @@ int main(int argc, char** argv) try {
       dataset.train, faults::FaultSpec{faults::FaultType::kMislabelling, pct}, rng);
 
   nn::TrainOptions opts;
-  opts.epochs = static_cast<std::size_t>(cli.get_int("epochs"));
+  opts.epochs = cli.get_size("epochs");
   opts.batch_size = 8;  // small dataset -> small batches
   const auto arch = models::Arch::kResNet50;  // as in §II
 

@@ -35,7 +35,7 @@ int main(int argc, char** argv) try {
   cfg.retrain.train_opts.threads = 2;
   cfg.canary.ad_threshold = 0.5;            // promotion guardrail
   cfg.canary.rollback_factor = 1.4;         // health rollback at 0.7
-  cfg.rounds = static_cast<std::size_t>(cli.get_int("rounds"));
+  cfg.rounds = cli.get_size("rounds");
   cfg.corrupt_round = 3;                    // the drill
   cfg.corruption.mode = pipeline::CorruptionMode::kSignFlip;
   cfg.corruption.fraction = 0.2;

@@ -29,8 +29,7 @@ int main(int argc, char** argv) try {
   if (!cli.parse(argc, argv)) return 0;
   set_log_level(LogLevel::kInfo);
   apply_obs_flags(cli);
-  core::ThreadPool::set_global_threads(
-      static_cast<std::size_t>(cli.get_int("threads")));
+  core::ThreadPool::set_global_threads(cli.get_size("threads"));
 
   // 1. Generate a dataset (GTSRB-like traffic signs, 43 classes).
   data::SyntheticSpec spec;
@@ -54,7 +53,7 @@ int main(int argc, char** argv) try {
   // 3. Train the golden model (clean data, no technique) and the protected
   //    model (faulty data + chosen technique).
   nn::TrainOptions opts;
-  opts.epochs = static_cast<std::size_t>(cli.get_int("epochs"));
+  opts.epochs = cli.get_size("epochs");
   const auto arch = models::Arch::kConvNet;
 
   mitigation::FitContext golden_ctx;

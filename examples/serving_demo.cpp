@@ -66,11 +66,10 @@ int main(int argc, char** argv) try {
   if (!cli.parse(argc, argv)) return 0;
   set_log_level(LogLevel::kInfo);
   apply_obs_flags(cli);
-  core::ThreadPool::set_global_threads(
-      static_cast<std::size_t>(cli.get_int("threads")));
-  const auto epochs = static_cast<std::size_t>(cli.get_int("epochs"));
-  const auto requests = static_cast<std::size_t>(cli.get_int("requests"));
-  const auto workers = static_cast<std::size_t>(cli.get_int("workers"));
+  core::ThreadPool::set_global_threads(cli.get_size("threads"));
+  const auto epochs = cli.get_size("epochs");
+  const auto requests = cli.get_size("requests");
+  const auto workers = cli.get_size("workers");
   const std::uint64_t seed = cli.get_u64("seed");
 
   // 1. Train generation 1 on half the data and generation 2 on all of it,

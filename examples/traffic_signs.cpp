@@ -32,8 +32,7 @@ int main(int argc, char** argv) try {
   add_obs_flags(cli);
   if (!cli.parse(argc, argv)) return 0;
   apply_obs_flags(cli);
-  core::ThreadPool::set_global_threads(
-      static_cast<std::size_t>(cli.get_int("threads")));
+  core::ThreadPool::set_global_threads(cli.get_size("threads"));
 
   data::SyntheticSpec spec;
   spec.kind = data::DatasetKind::kGtsrbSim;
@@ -57,7 +56,7 @@ int main(int argc, char** argv) try {
             << report.resulting_size << " samples)\n\n";
 
   nn::TrainOptions opts;
-  opts.epochs = static_cast<std::size_t>(cli.get_int("epochs"));
+  opts.epochs = cli.get_size("epochs");
 
   // Golden reference: ResNet18 on clean data.
   mitigation::FitContext ctx;

@@ -1,5 +1,6 @@
 #include "core/cli.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <iostream>
 #include <sstream>
@@ -67,6 +68,15 @@ int CliParser::get_int(const std::string& name) const {
   }
 }
 
+std::size_t CliParser::get_size(const std::string& name) const {
+  const int v = get_int(name);
+  if (v < 0) {
+    throw ConfigError("flag --" + name + " expects a count >= 0, got " +
+                      std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 std::uint64_t CliParser::get_u64(const std::string& name) const {
   const std::string v = get_string(name);
   try {
@@ -84,10 +94,11 @@ double CliParser::get_double(const std::string& name) const {
   try {
     std::size_t pos = 0;
     const double r = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument(v);
+    if (pos != v.size() || !std::isfinite(r)) throw std::invalid_argument(v);
     return r;
   } catch (const std::exception&) {
-    throw ConfigError("flag --" + name + " expects a number, got '" + v + "'");
+    throw ConfigError("flag --" + name + " expects a finite number, got '" + v +
+                      "'");
   }
 }
 

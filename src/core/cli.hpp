@@ -5,6 +5,8 @@
 // run to a paper-faithful overnight run without recompiling.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -25,6 +27,9 @@ class CliParser {
 
   [[nodiscard]] std::string get_string(const std::string& name) const;
   [[nodiscard]] int get_int(const std::string& name) const;
+  /// A count: get_int, but a negative value throws ConfigError naming the flag.
+  [[nodiscard]] std::size_t get_size(const std::string& name) const;
+  /// A finite number: nan and inf throw ConfigError naming the flag.
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] bool get_bool(const std::string& name) const;
   [[nodiscard]] std::uint64_t get_u64(const std::string& name) const;

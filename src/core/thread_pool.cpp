@@ -57,7 +57,7 @@ ThreadPool& ThreadPool::global() {
 
 void ThreadPool::set_global_threads(std::size_t n) {
   if (in_worker()) return;  // a running job must not tear down its own pool
-  // Catches "--threads -1" style input that wrapped through size_t.
+  // A count this large is a wrapped negative or a typo, not a pool size.
   TDFM_CHECK(n <= 4096, "thread count out of range (use 0 for hardware concurrency)");
   if (n == 0) n = default_threads();
   const std::lock_guard<std::mutex> lk(g_global_mu);
