@@ -5,7 +5,9 @@
 
 #include <cmath>
 #include <functional>
+#include <string>
 
+#include "core/error.hpp"
 #include "core/rng.hpp"
 #include "nn/layer.hpp"
 #include "tensor/init.hpp"
@@ -13,6 +15,18 @@
 #include "tensor/tensor_ops.hpp"
 
 namespace tdfm::test {
+
+/// The message of the ConfigError `fn` throws ("" when it throws none; any
+/// other exception escapes and fails the test).
+template <typename Fn>
+std::string config_error_of(Fn fn) {
+  try {
+    fn();
+  } catch (const ConfigError& e) {
+    return e.what();
+  }
+  return "";
+}
 
 /// Scalar objective used by gradient checks: L(y) = sum(y ⊙ g).
 inline double probe_loss(const Tensor& y, const Tensor& g) {
