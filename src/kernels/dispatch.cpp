@@ -12,13 +12,15 @@ namespace tdfm::kernels {
 namespace {
 
 constexpr KernelTable kScalarTable{
-    gemm_nn_rows_scalar,   gemm_nt_rows_scalar,   gemm_tn_rows_scalar,
-    gemm_q8_rows_scalar,   quantize_q8_rows_scalar, dw_forward_scalar,
-    dw_input_grad_scalar,  dw_weight_grad_scalar, col2im_s1_scalar};
+    gemm_nn_rows_scalar,      gemm_nt_rows_scalar,      gemm_tn_rows_scalar,
+    gemm_nn_conv_rows_scalar, gemm_nt_conv_rows_scalar, gemm_q8_rows_scalar,
+    quantize_q8_rows_scalar,  dw_forward_scalar,        dw_input_grad_scalar,
+    dw_weight_grad_scalar,    col2im_s1_scalar};
 constexpr KernelTable kAvx2Table{
-    gemm_nn_rows_avx2,     gemm_nt_rows_avx2,     gemm_tn_rows_avx2,
-    gemm_q8_rows_avx2,     quantize_q8_rows_avx2, dw_forward_avx2,
-    dw_input_grad_avx2,    dw_weight_grad_avx2,   col2im_s1_avx2};
+    gemm_nn_rows_avx2,        gemm_nt_rows_avx2,        gemm_tn_rows_avx2,
+    gemm_nn_conv_rows_avx2,   gemm_nt_conv_rows_avx2,   gemm_q8_rows_avx2,
+    quantize_q8_rows_avx2,    dw_forward_avx2,          dw_input_grad_avx2,
+    dw_weight_grad_avx2,      col2im_s1_avx2};
 
 // -1 = not yet resolved.  Resolution is idempotent (env + cpuid are fixed),
 // so a racing first call is benign: both writers store the same value.

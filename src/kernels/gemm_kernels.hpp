@@ -46,6 +46,12 @@ void gemm_nt_rows_scalar(std::size_t r0, std::size_t r1, std::size_t m,
 void gemm_tn_rows_scalar(std::size_t r0, std::size_t r1, std::size_t m,
                          std::size_t n, std::size_t k, const float* a,
                          const float* b, float* c, bool accumulate);
+void gemm_nn_conv_rows_scalar(std::size_t r0, std::size_t r1, std::size_t n,
+                              std::size_t k, const float* a,
+                              const ConvPatches& b, float* c, bool accumulate);
+void gemm_nt_conv_rows_scalar(std::size_t r0, std::size_t r1, std::size_t n,
+                              std::size_t k, const float* a,
+                              const ConvPatches& b, float* c, bool accumulate);
 void gemm_q8_rows_scalar(std::size_t r0, std::size_t r1, std::size_t n,
                          std::size_t blocks, const std::int8_t* aq,
                          const float* as, const std::int8_t* bq,
@@ -66,6 +72,12 @@ void gemm_nt_rows_avx2(std::size_t r0, std::size_t r1, std::size_t m,
 void gemm_tn_rows_avx2(std::size_t r0, std::size_t r1, std::size_t m,
                        std::size_t n, std::size_t k, const float* a,
                        const float* b, float* c, bool accumulate);
+void gemm_nn_conv_rows_avx2(std::size_t r0, std::size_t r1, std::size_t n,
+                            std::size_t k, const float* a, const ConvPatches& b,
+                            float* c, bool accumulate);
+void gemm_nt_conv_rows_avx2(std::size_t r0, std::size_t r1, std::size_t n,
+                            std::size_t k, const float* a, const ConvPatches& b,
+                            float* c, bool accumulate);
 void gemm_q8_rows_avx2(std::size_t r0, std::size_t r1, std::size_t n,
                        std::size_t blocks, const std::int8_t* aq,
                        const float* as, const std::int8_t* bq,

@@ -84,6 +84,46 @@ void gemm_tn_rows_scalar(std::size_t r0, std::size_t r1, std::size_t m,
   }
 }
 
+// The convolution forms: each element runs the chain of the plain loop
+// above, reading B through the patch offsets one 8-pixel block at a time.
+void gemm_nn_conv_rows_scalar(std::size_t r0, std::size_t r1, std::size_t n,
+                              std::size_t k, const float* a,
+                              const ConvPatches& b, float* c, bool accumulate) {
+  // gemm_nn_rows_scalar's chain: C[i, j] starts at zero (or its value) and
+  // adds a[i, p] * B[p, j] in ascending p.
+  if (!accumulate) std::memset(c + r0 * n, 0, (r1 - r0) * n * sizeof(float));
+  for (std::size_t i = r0; i < r1; ++i) {
+    float* __restrict__ crow = c + i * n;
+    for (std::size_t p = 0; p < k; ++p) {
+      const float av = a[i * k + p];
+      const float* tap = b.base + b.row_off[p];
+      for (std::size_t j = 0; j < n; j += 8) {
+        const float* __restrict__ src = tap + b.col_off[j / 8];
+        for (std::size_t t = 0; t < 8; ++t) crow[j + t] += av * src[t];
+      }
+    }
+  }
+}
+
+void gemm_nt_conv_rows_scalar(std::size_t r0, std::size_t r1, std::size_t n,
+                              std::size_t k, const float* a,
+                              const ConvPatches& b, float* c, bool accumulate) {
+  // gemm_nt_rows_scalar's chain: one sequential dot per element.
+  for (std::size_t i = r0; i < r1; ++i) {
+    const float* __restrict__ arow = a + i * k;
+    float* __restrict__ crow = c + i * n;
+    for (std::size_t j = 0; j < n; ++j) {
+      const float* tap = b.base + b.row_off[j];
+      float acc = 0.0F;
+      for (std::size_t p = 0; p < k; p += 8) {
+        const float* __restrict__ src = tap + b.col_off[p / 8];
+        for (std::size_t t = 0; t < 8; ++t) acc += arow[p + t] * src[t];
+      }
+      crow[j] = accumulate ? crow[j] + acc : acc;
+    }
+  }
+}
+
 void gemm_q8_rows_scalar(std::size_t r0, std::size_t r1, std::size_t n,
                          std::size_t blocks, const std::int8_t* aq,
                          const float* as, const std::int8_t* bq,

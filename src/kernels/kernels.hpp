@@ -38,6 +38,16 @@
 // a dot product of each table's own reduction shape (scalar: the
 // sequential sum, identical to the nt kernel).
 //
+// nn_conv and nt_conv are the convolution forms of nn and nt, which
+// nn::Conv2D's forward and weight gradient run on stride-1 convs whose
+// output planes are the size of their input: the B operand is a patch
+// matrix addressed in place in a zero-bordered copy of the image
+// (ConvPatches), so no im2col runs.  Each entry repeats its table's chain
+// for every element (avx2: nn_tile's FMA order; nt_cols' two 8-float
+// accumulators and hsum256; scalar: the plain loops), so with the border's
+// +0.0f in place of im2col's zeros the results are the bits of im2col +
+// the same table's nn or nt.
+//
 // The stride-1 col2im gather adds only, in a fixed order per element, so
 // its bits are the same at every table; avx2 runs it 8 pixels per vector.
 // Its plane geometry is DwGeometry, one channel of a convolution.
@@ -59,6 +69,27 @@ enum class KernelKind : int { kScalar = 0, kAvx2 = 1 };
 using GemmRowsFn = void (*)(std::size_t r0, std::size_t r1, std::size_t m,
                             std::size_t n, std::size_t k, const float* a,
                             const float* b, float* c, bool accumulate);
+
+/// The patch matrix of a stride-1 convolution read in place, as the B
+/// operand of the convolution forms of nn and nt: element (p, j) of the
+/// [taps, pixels] matrix sits at base[row_off[p] + col_off[j / 8] + j % 8].
+/// The pixel count is a multiple of 8 and each 8-pixel block is contiguous;
+/// tdfm::InPlacePatches (tensor/im2col.hpp) builds the offsets over a
+/// zero-bordered copy of the image.
+struct ConvPatches {
+  const float* base;
+  const std::size_t* row_off;  ///< one per tap row
+  const std::size_t* col_off;  ///< one per 8-pixel block
+};
+
+/// Rows [r0, r1) of C for the convolution form of a GEMM variant, `b` the
+/// patch matrix: nn computes C[m x n] = A[m x k] * B with B [k taps x n
+/// pixels], nt computes C[m x n] = A[m x k] * B^T with B [n taps x k
+/// pixels].  Every element repeats the chain of the same table's plain
+/// entry, so the results are its bits on the patch matrix im2col writes.
+using ConvGemmRowsFn = void (*)(std::size_t r0, std::size_t r1, std::size_t n,
+                                std::size_t k, const float* a,
+                                const ConvPatches& b, float* c, bool accumulate);
 
 /// Computes rows [r0, r1) of C[m x n] where C[i,j] is the q8_0 block dot of
 /// A row i against B row j: both operands hold `blocks` 32-element int8
@@ -148,6 +179,8 @@ struct KernelTable {
   GemmRowsFn nn;
   GemmRowsFn nt;
   GemmRowsFn tn;
+  ConvGemmRowsFn nn_conv;
+  ConvGemmRowsFn nt_conv;
   GemmQ8RowsFn q8_nt;
   QuantizeQ8Fn quantize_q8;
   DwForwardFn dw_forward;

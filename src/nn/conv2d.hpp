@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -16,6 +17,14 @@ namespace tdfm::nn {
 /// output planes of at least 64 px (per-image GEMMs beat batching there,
 /// ~25% on one core), ceil(64 / plane) images on smaller planes so every GEMM
 /// spans at least 64 columns.  Weights stored [out_c, C*k*k].
+///
+/// With one image per group, stride 1, 2*pad + 1 == k and output rows of
+/// whole 8-pixel blocks (reads_in_place, tensor/im2col.hpp) there is no
+/// im2col: the forward and weight-gradient GEMMs read the patch matrix in
+/// place from a zero-bordered copy of each image (the image itself for 1x1),
+/// which a training forward keeps for backward instead of the input.  The
+/// border holds the +0.0f im2col writes and the GEMMs repeat their table's
+/// nn and nt chains, so the outputs and gradients are the im2col path's bits.
 ///
 /// With `fuse_relu` the layer also applies the ReLU that follows it in the
 /// model zoo, in the pass that adds the bias: y > 0 ? y : 0 forward, and
@@ -54,7 +63,11 @@ class Conv2D final : public Layer {
   bool input_grad_ = true;  ///< false: backward skips the input gradient
   Parameter weight_;  ///< [out_c, C*k*k]
   Parameter bias_;    ///< [out_c]
-  Tensor cached_input_;  ///< training-mode forward input; empty otherwise
+  /// The patch matrix read in place, on the geometries that take that path.
+  std::optional<InPlacePatches> in_place_;
+  /// Training-mode forward input (the images' bordered copies on the
+  /// in-place path with pad > 0); empty otherwise.
+  Tensor cached_input_;
   std::vector<std::uint8_t> relu_mask_;  ///< 1 where y > 0 (fused ReLU, training)
   /// Per-group dW/db contributions [groups, out_c*pr + out_c], filled in
   /// parallel and reduced in group order so gradients are

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <utility>
 
+#include "core/error.hpp"
 #include "kernels/kernels.hpp"
 
 namespace tdfm {
@@ -115,6 +116,37 @@ void im2col(const ConvGeometry& g, const float* image, float* columns,
           }
         }
       }
+    }
+  }
+}
+
+bool reads_in_place(const ConvGeometry& g) {
+  return g.stride == 1 && 2 * g.pad + 1 == g.kernel && g.out_w() % 8 == 0;
+}
+
+InPlacePatches::InPlacePatches(const ConvGeometry& g) : g_(g) {
+  TDFM_CHECK(reads_in_place(g), "InPlacePatches: the geometry needs im2col");
+  const std::size_t bw = g.in_w + 2 * g.pad;
+  const std::size_t bplane = (g.in_h + 2 * g.pad) * bw;
+  bordered_floats_ = g.in_c * bplane;
+  for (std::size_t c = 0; c < g.in_c; ++c) {
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+        row_off_.push_back(c * bplane + ky * bw + kx);
+      }
+    }
+  }
+  for (std::size_t y = 0; y < g.out_h(); ++y) {
+    for (std::size_t x = 0; x < g.out_w(); x += 8) col_off_.push_back(y * bw + x);
+  }
+}
+
+void InPlacePatches::fill_interior(const float* image, float* dst) const {
+  const std::size_t bw = g_.in_w + 2 * g_.pad;
+  float* row = dst + g_.pad * bw + g_.pad;
+  for (std::size_t c = 0; c < g_.in_c; ++c, row += 2 * g_.pad * bw) {
+    for (std::size_t y = 0; y < g_.in_h; ++y, row += bw, image += g_.in_w) {
+      std::memcpy(row, image, g_.in_w * sizeof(float));
     }
   }
 }

@@ -5,9 +5,18 @@
 // [C*kh*kw, out_h*out_w] matrix, so conv forward is a single
 // [out_c, C*kh*kw] x [C*kh*kw, out_h*out_w] GEMM per image.  col2im is the
 // adjoint, used to push gradients back to the input image.
+//
+// Stride-1 geometries whose output plane is the size of the input, with
+// output rows of whole 8-pixel blocks (reads_in_place), need no unrolled
+// copy: every tap row is the image shifted by a constant, so InPlacePatches
+// addresses the matrix in a copy of the image with a zero border and the
+// GEMMs of tensor/gemm.hpp read it there, seeing the bits im2col writes.
 #pragma once
 
 #include <cstddef>
+#include <vector>
+
+#include "kernels/kernels.hpp"
 
 namespace tdfm {
 
@@ -49,6 +58,44 @@ void im2col(const ConvGeometry& g, const float* image, float* columns,
 /// consecutive images stack: image i of a group starts at row i*out_h*out_w
 /// (nn::Conv2D's grouped quantized forward).
 void im2row(const ConvGeometry& g, const float* image, float* rows_out);
+
+/// Whether a GEMM can read g's patch matrix in place, with no im2col:
+/// stride 1, output planes the size of the input (2*pad + 1 == k), and
+/// output rows of whole 8-pixel blocks (out_w % 8 == 0).
+[[nodiscard]] bool reads_in_place(const ConvGeometry& g);
+
+/// The patch matrix of one image of a reads_in_place geometry, addressed in
+/// its bordered copy: the [C, H + 2*pad, W + 2*pad] planes holding the image
+/// in their interior and +0.0f in the pad-wide border.  Tap row (c, ky, kx)
+/// of output pixel (y, x) is bordered cell (c, y + ky, x + kx): the input
+/// value im2col copies there, or a border cell holding the 0.0F it writes.
+/// So the GEMMs over it (tensor/gemm.hpp) read the bits of im2col's matrix.
+/// With pad 0 (1x1) the bordered copy is the image itself.
+class InPlacePatches {
+ public:
+  explicit InPlacePatches(const ConvGeometry& g);
+
+  /// patch_rows(): one per (c, ky, kx).
+  [[nodiscard]] std::size_t taps() const { return row_off_.size(); }
+  /// patch_cols(): one per output pixel.
+  [[nodiscard]] std::size_t pixels() const { return 8 * col_off_.size(); }
+  /// Floats of one image's bordered copy.
+  [[nodiscard]] std::size_t bordered_floats() const { return bordered_floats_; }
+  /// Copies `image` [C, H, W] into the interior of its bordered copy `dst`.
+  /// No border cell is written: they must hold +0.0f already, as in a
+  /// zero-filled buffer whose interiors alone are ever written.
+  void fill_interior(const float* image, float* dst) const;
+  /// The patch matrix read from bordered copy `bordered`.
+  [[nodiscard]] kernels::ConvPatches view(const float* bordered) const {
+    return {bordered, row_off_.data(), col_off_.data()};
+  }
+
+ private:
+  ConvGeometry g_;
+  std::size_t bordered_floats_;
+  std::vector<std::size_t> row_off_;  ///< per tap row (c, ky, kx)
+  std::vector<std::size_t> col_off_;  ///< per 8-pixel block
+};
 
 /// Adjoint of im2col: scatters the patch-matrix gradient back into the
 /// image gradient [C, H, W].  The output buffer is accumulated into, so the
