@@ -11,13 +11,15 @@
 //
 // The q8 kernels are NOT given this slack — their block dot is exact
 // integer arithmetic with a fixed float accumulation order, so the checker
-// compares them with memcmp (bit identity) instead.
+// compares them with memcmp (bit identity, bit_equal) instead, as it does
+// every kernel that repeats another's chain.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <string>
 
 #include "core/thread_pool.hpp"
@@ -44,6 +46,22 @@ inline void expect_allclose(const float* got, const float* ref,
       ++reported;
     }
   }
+}
+
+inline bool bit_equal(const float* a, const float* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(float)) == 0;
+}
+
+/// memcmp-equal, except that any NaN matches any NaN.  When both operands
+/// of an add or FMA are NaN, x86 returns the first one, and the compiler
+/// may swap the operands of a commutative intrinsic, so which NaN a sum of
+/// an Inf * 0 and a propagated NaN keeps is not fixed even for one loop.
+inline bool bit_equal_or_nan(const float* a, const float* b, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (std::memcmp(a + i, b + i, sizeof(float)) != 0) return false;
+  }
+  return true;
 }
 
 /// Restores the active kernel (and lets a test switch it) RAII-style, so a

@@ -1,5 +1,5 @@
-// Small-plane convolution paths vs the per-image im2col reference (the
-// depthwise kernels have their own checker, dw_checker_test.cpp).
+// Conv2D's GEMM paths vs the per-image im2col reference (the depthwise
+// kernels have their own checker, dw_checker_test.cpp).
 //
 // Grouped Conv2D: images whose output plane is under 64 px share one GEMM.
 // The forward pass must be memcmp-equal to per-image GEMMs at every table;
@@ -7,9 +7,16 @@
 // where the plane keeps the per-image path (>= 64 px).  A quantized Conv2D
 // groups the same way (one im2row -> quantize -> q8 GEMM per group), and its
 // forward pass must be memcmp-equal to one image at a time.
+//
+// In-place patches: every table's convolution forms of nn and nt, which
+// read the patch matrix from a bordered copy of the image, must be
+// memcmp-equal (any NaN matching any NaN) to im2col + the same table's nn
+// and nt, with and without accumulation, on inputs and gradients holding
+// +-0, +-Inf and NaN.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -23,12 +30,10 @@
 namespace tdfm {
 namespace {
 
+using kernels_test::bit_equal;
+using kernels_test::bit_equal_or_nan;
 using kernels_test::expect_allclose;
 using kernels_test::KernelGuard;
-
-bool bit_equal(const float* a, const float* b, std::size_t n) {
-  return std::memcmp(a, b, n * sizeof(float)) == 0;
-}
 
 struct ConvCase {
   std::size_t in_c, out_c, hw, kernel, stride, pad, batch;
@@ -41,7 +46,10 @@ TEST(ConvChecker, GroupedConv2DMatchesPerImagePath) {
       {6, 5, 2, 3, 1, 1, 5},  // 2x2 plane: one short group of 16
       {3, 4, 5, 3, 2, 1, 7},  // 3x3 output plane: groups of 8
       {2, 3, 1, 1, 1, 0, 3},  // 1x1 plane
-      {4, 3, 8, 3, 1, 1, 3},  // 8x8 = 64 px: the per-image path
+      {4, 3, 8, 3, 1, 1, 3},  // 8x8 = 64 px: the per-image path, patches in place
+      {3, 8, 16, 3, 1, 1, 2},  // 16x16, patches in place
+      {8, 5, 8, 1, 1, 0, 2},   // 1x1 on 8x8, the image read in place
+      {3, 4, 8, 3, 2, 1, 2},   // stride 2 on 8x8: per image, im2col
   };
   for (const ConvCase& cc : cases) {
     const ConvGeometry cg{cc.in_c, cc.hw, cc.hw, cc.kernel, cc.stride, cc.pad};
@@ -70,6 +78,7 @@ TEST(ConvChecker, GroupedConv2DMatchesPerImagePath) {
 
       const Tensor y = conv.forward(x, true);
       const Tensor gx = conv.backward(gy);
+      const Tensor y_eval = conv.forward(x, false);
 
       // Per-image reference, in the pre-grouping loop's operation order.
       std::vector<float> ref_y(cc.batch * out_stride);
@@ -98,6 +107,8 @@ TEST(ConvChecker, GroupedConv2DMatchesPerImagePath) {
 
       EXPECT_TRUE(bit_equal(y.data(), ref_y.data(), ref_y.size()))
           << "forward, " << what;
+      EXPECT_TRUE(bit_equal(y_eval.data(), ref_y.data(), ref_y.size()))
+          << "eval forward, " << what;
       const float* dw = params[0]->grad.data();
       const float* db = params[1]->grad.data();
       const std::size_t terms = cc.batch * pc;
@@ -142,6 +153,86 @@ TEST(ConvChecker, GroupedQuantizedConv2DMatchesPerImagePath) {
         EXPECT_TRUE(bit_equal(y.data() + b * out_stride, yb.data(), out_stride))
             << kernels::kernel_name(kind) << " " << cc.in_c << "->" << cc.out_c
             << " plane " << cg.patch_cols() << " image " << b << " of " << cc.batch;
+      }
+    }
+  }
+}
+
+TEST(ConvChecker, InPlaceGemmsMatchIm2colPathBitForBit) {
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
+  struct Case {
+    std::size_t in_c, h, w, kernel;
+  };
+  const Case cases[] = {
+      // The zoo's in-place geometries at width 8: the 3x3 convs on 16x16
+      // and 8x8 planes and the 1x1 convs of ResNet50 and MobileNet there.
+      {3, 16, 16, 3}, {8, 16, 16, 3}, {16, 16, 16, 3}, {8, 8, 8, 3},
+      {16, 8, 8, 3},  {32, 8, 8, 3},  {8, 16, 16, 1},  {16, 16, 16, 1},
+      {16, 8, 8, 1},  {32, 8, 8, 1},
+      // W = 8 with odd H: pixel counts of 8 * odd leave nt an 8-float step
+      // after its 16-float ones.
+      {3, 9, 8, 3}, {13, 3, 8, 3}, {1, 1, 8, 1},
+      // W = 24, C = 1 and 13, a 5x5 filter.
+      {1, 5, 24, 3}, {13, 4, 24, 1}, {3, 6, 24, 5}, {1, 8, 8, 3}, {13, 8, 8, 3},
+  };
+  for (const Case& cc : cases) {
+    const ConvGeometry g{cc.in_c, cc.h, cc.w, cc.kernel, 1, cc.kernel / 2};
+    ASSERT_TRUE(reads_in_place(g));
+    const InPlacePatches patches(g);
+    const std::size_t pr = g.patch_rows();
+    const std::size_t pc = g.patch_cols();
+    ASSERT_EQ(patches.taps(), pr);
+    ASSERT_EQ(patches.pixels(), pc);
+    Rng rng(cc.in_c * 131 + cc.h * 17 + cc.w * 3 + cc.kernel);
+    std::vector<float> image(cc.in_c * cc.h * cc.w);
+    for (float& v : image) v = rng.normal();
+    // Signed zeros, infinities and NaN in the input, on its edges (which
+    // the border pads) and inside.
+    const float specials[] = {0.0F, -0.0F, kInf, -kInf, kNaN};
+    for (std::size_t i = 0; i < std::size(specials); ++i) {
+      image[(i * 37 + 1) % image.size()] = specials[i];
+    }
+    image.back() = -0.0F;
+    std::vector<float> bordered(patches.bordered_floats(), 0.0F);
+    patches.fill_interior(image.data(), bordered.data());
+    std::vector<float> columns(pr * pc);
+    im2col(g, image.data(), columns.data());
+    const kernels::ConvPatches view = patches.view(bordered.data());
+    for (const std::size_t out_c : {1, 7, 9, 16}) {
+      std::vector<float> w(out_c * pr);
+      for (float& v : w) v = rng.normal();
+      std::vector<float> dy(out_c * pc);
+      for (float& v : dy) v = rng.normal();
+      for (std::size_t i = 0; i < std::size(specials); ++i) {
+        dy[(i * 53 + 5) % dy.size()] = specials[(i + 2) % std::size(specials)];
+      }
+      for (const kernels::KernelKind kind : kernels::supported_kernels()) {
+        const kernels::KernelTable& table = kernels::kernel_table(kind);
+        for (const bool accumulate : {false, true}) {
+          const std::string what =
+              std::string(kernels::kernel_name(kind)) + " C=" + std::to_string(cc.in_c) +
+              " " + std::to_string(cc.h) + "x" + std::to_string(cc.w) + " k" +
+              std::to_string(cc.kernel) + " out_c=" + std::to_string(out_c) +
+              (accumulate ? " accumulate" : "");
+          std::vector<float> y0(out_c * pc), dw0(out_c * pr);
+          for (float& v : y0) v = rng.normal();
+          for (float& v : dw0) v = rng.normal();
+          // Forward: C[out_c, pc] = W * patches.
+          std::vector<float> y = y0, ref_y = y0;
+          table.nn_conv(0, out_c, pc, pr, w.data(), view, y.data(), accumulate);
+          table.nn(0, out_c, out_c, pc, pr, w.data(), columns.data(), ref_y.data(),
+                   accumulate);
+          EXPECT_TRUE(bit_equal_or_nan(y.data(), ref_y.data(), y.size()))
+              << "nn, " << what;
+          // Weight gradient: C[out_c, pr] = dY * patches^T.
+          std::vector<float> dw = dw0, ref_dw = dw0;
+          table.nt_conv(0, out_c, pr, pc, dy.data(), view, dw.data(), accumulate);
+          table.nt(0, out_c, out_c, pr, pc, dy.data(), columns.data(), ref_dw.data(),
+                   accumulate);
+          EXPECT_TRUE(bit_equal_or_nan(dw.data(), ref_dw.data(), dw.size()))
+              << "nt, " << what;
+        }
       }
     }
   }

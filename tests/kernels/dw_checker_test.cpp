@@ -55,21 +55,8 @@ struct Guarded {
   std::vector<float> storage;
 };
 
-bool bit_equal(const float* a, const float* b, std::size_t n) {
-  return std::memcmp(a, b, n * sizeof(float)) == 0;
-}
-
-/// memcmp-equal, except that any NaN matches any NaN.  When both operands
-/// of an add or FMA are NaN, x86 returns the first one, and the compiler
-/// may swap the operands of a commutative intrinsic, so which NaN a sum of
-/// an Inf * 0 and a propagated NaN keeps is not fixed even for one loop.
-bool bit_equal_or_nan(const float* a, const float* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
-    if (std::memcmp(a + i, b + i, sizeof(float)) != 0) return false;
-  }
-  return true;
-}
+using kernels_test::bit_equal;
+using kernels_test::bit_equal_or_nan;
 
 /// Every combination of stride 1/2, pad 0/1 and kernel 1/3/5 over 1x1, 2x2,
 /// 4x4, 5x7, 8x8, 9x3, 16x16 and 17x17 planes (the shapes the padding
