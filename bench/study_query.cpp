@@ -306,6 +306,8 @@ int cmd_restore_obs(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) try {
+  // A bad TDFM_KERNEL fails here, before any work.
+  (void)tdfm::kernels::active_kernel();
   if (argc < 2 || std::string(argv[1]) == "--help" ||
       std::string(argv[1]) == "help") {
     std::cout << kUsage;

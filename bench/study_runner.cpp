@@ -172,6 +172,8 @@ std::string render_report(const study::CampaignSummary& summary,
 }  // namespace
 
 int main(int argc, char** argv) try {
+  // A bad TDFM_KERNEL fails here, before any work.
+  (void)tdfm::kernels::active_kernel();
   using namespace tdfm;
 
   CliParser cli;

@@ -11,9 +11,12 @@
 #include "core/cli.hpp"
 #include "core/logging.hpp"
 #include "core/thread_pool.hpp"
+#include "kernels/kernels.hpp"
 #include "study/study.hpp"
 
 int main(int argc, char** argv) try {
+  // A bad TDFM_KERNEL fails here, before any work.
+  (void)tdfm::kernels::active_kernel();
   using namespace tdfm;
 
   CliParser cli;

@@ -13,12 +13,15 @@
 #include "core/thread_pool.hpp"
 #include "data/synthetic.hpp"
 #include "faults/fault_injector.hpp"
+#include "kernels/kernels.hpp"
 #include "metrics/metrics.hpp"
 #include "mitigation/baseline.hpp"
 #include "mitigation/registry.hpp"
 #include "obs/stopwatch.hpp"
 
 int main(int argc, char** argv) try {
+  // A bad TDFM_KERNEL fails here, before any work.
+  (void)tdfm::kernels::active_kernel();
   using namespace tdfm;
 
   CliParser cli;

@@ -14,9 +14,12 @@
 #include "core/logging.hpp"
 #include "core/table.hpp"
 #include "core/thread_pool.hpp"
+#include "kernels/kernels.hpp"
 #include "pipeline/pipeline.hpp"
 
 int main(int argc, char** argv) try {
+  // A bad TDFM_KERNEL fails here, before any work.
+  (void)tdfm::kernels::active_kernel();
   using namespace tdfm;
   CliParser cli;
   cli.add_flag("rounds", "8", "stream rounds to run");

@@ -15,6 +15,7 @@
 #include "core/table.hpp"
 #include "core/thread_pool.hpp"
 #include "data/synthetic.hpp"
+#include "kernels/kernels.hpp"
 #include "nn/checkpoint.hpp"
 #include "nn/loss.hpp"
 #include "nn/trainer.hpp"
@@ -55,6 +56,8 @@ Tensor slice_sample(const Tensor& images, std::size_t i) {
 }  // namespace
 
 int main(int argc, char** argv) try {
+  // A bad TDFM_KERNEL fails here, before any work.
+  (void)tdfm::kernels::active_kernel();
   using namespace tdfm;
   CliParser cli;
   cli.add_flag("epochs", "3", "training epochs per model generation");
