@@ -23,7 +23,13 @@
 // entries over one image's channels, a run of 8 per call, at each depthwise
 // layer of width-8 MobileNet.  The BatchNorm2D rows time the layer's
 // training passes alone, then followed by a ReLU layer, then with that ReLU
-// fused, at batch 32 on the width-8 zoo's shapes.  The staging rows use the
+// fused, at batch 32 on the width-8 zoo's shapes.  The layer rows time
+// whole Conv2D layers, forward and backward at batch 32, per kernel table:
+// ConvNet's three (fused ReLU; the stem skips the input gradient, as a
+// network's first layer does), which read their patches in place, and
+// MobileNet's 64->64 1x1 conv on 4x4 planes, which runs im2col on groups of
+// 4 images; against the GEMM rows they show what the layer adds around its
+// kernels.  The staging rows use the
 // patch matrices of the model zoo's convolutions at width 8 (one image; the
 // 1x1 convs and the 3x3 convs on 4x4, 2x2 and 1x1 planes also as the image
 // groups Conv2D runs them in); col2im runs per kernel table, since its
@@ -42,6 +48,7 @@
 #include "kernels/quant.hpp"
 #include "nn/activation.hpp"
 #include "nn/batchnorm.hpp"
+#include "nn/conv2d.hpp"
 #include "tensor/im2col.hpp"
 
 namespace tdfm::bench {
@@ -113,6 +120,24 @@ constexpr BatchNormSpec kBatchNorm[] = {
     {"bn64_2x2", 64, 2},   {"bn128_2x2", 128, 2},  {"bn64_1x1", 64, 1},
 };
 constexpr std::size_t kBatchNormBatch = 32;
+
+/// One Conv2D layer timed whole, forward then backward, at batch 32: the
+/// GEMMs with the staging, bias, fused ReLU, dY staging and bias sums
+/// around them.
+struct LayerSpec {
+  const char* tag;
+  std::size_t in_c, out_c, hw, kernel, pad;
+  bool relu;   ///< ReLU fused, as ConvNet runs its convs
+  bool first;  ///< a network's first layer: backward skips the input gradient
+};
+
+constexpr LayerSpec kLayers[] = {
+    {"convnet_conv1", 3, 8, 16, 3, 1, true, true},     // stem at 16x16, patches in place
+    {"convnet_conv2", 8, 16, 16, 3, 1, true, false},   // 16x16, patches in place
+    {"convnet_conv3", 16, 16, 8, 3, 1, true, false},   // 8x8, patches in place
+    {"mobilenet_pw64", 64, 64, 4, 1, 0, false, false}, // 1x1 on 4x4: im2col, groups of 4
+};
+constexpr std::size_t kLayerBatch = 32;
 
 /// One quantized Conv2D site of width-8 model-zoo nets: `images` images of
 /// a conv's input, unrolled by im2row into [images*out_h*out_w, C*k*k]
@@ -373,6 +398,39 @@ int run(int argc, char** argv) {
     ++shape_idx;
   }
   std::cout << bn_table.render() << "\n";
+
+  // Whole Conv2D layers at batch 32, per kernel table.
+  AsciiTable layer_table({"layer", "kernel", "fwd us", "bwd us", "fwd GFLOP/s",
+                          "bwd GFLOP/s"});
+  const kernels::KernelKind layer_active = kernels::active_kernel();
+  for (const LayerSpec& l : kLayers) {
+    const ConvGeometry g{l.in_c, l.hw, l.hw, l.kernel, 1, l.pad};
+    Tensor x(Shape{kLayerBatch, l.in_c, l.hw, l.hw});
+    Tensor dy(Shape{kLayerBatch, l.out_c, g.out_h(), g.out_w()});
+    fill_random(x.data(), x.numel(), 10000 + shape_idx);
+    fill_random(dy.data(), dy.numel(), 11000 + shape_idx);
+    Rng rng(12000 + shape_idx);
+    nn::Conv2D conv(l.in_c, l.out_c, l.hw, l.hw, l.kernel, 1, l.pad, rng, l.relu);
+    if (l.first) conv.discard_input_grad();
+    const double gemm_flops = 2.0 * static_cast<double>(l.out_c * g.patch_rows() *
+                                                        g.patch_cols() * kLayerBatch);
+    for (const kernels::KernelKind kind : kinds) {
+      kernels::set_active_kernel(kind);
+      const double fwd = time_per_call([&] { (void)conv.forward(x, true); });
+      const double bwd = time_per_call([&] { (void)conv.backward(dy); });
+      const double bwd_flops = (l.first ? 1.0 : 2.0) * gemm_flops;
+      const std::string key = std::string(l.tag) + ".layer_";
+      const char* name = kernels::kernel_name(kind);
+      layer_table.add_row({l.tag, name, fixed(1e6 * fwd, 1), fixed(1e6 * bwd, 1),
+                           fixed(gemm_flops / fwd / 1e9, 2),
+                           fixed(bwd_flops / bwd / 1e9, 2)});
+      json.add(key + "fwd." + name + ".us", 1e6 * fwd);
+      json.add(key + "bwd." + name + ".us", 1e6 * bwd);
+    }
+    ++shape_idx;
+  }
+  kernels::set_active_kernel(layer_active);
+  std::cout << layer_table.render() << "\n";
 
 
   // Activation staging: of the quantized conv path, im2row and per-table
