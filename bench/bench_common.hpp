@@ -1,8 +1,8 @@
-// Shared plumbing for the bench binaries.
+// Shared plumbing for the bench binaries and the study_runner / study_query
+// front ends (comma lists, --out delivery, --report rendering).
 //
-// Every bench regenerates one of the paper's tables/figures and accepts the
-// same scaling flags, so results can be dialled from a minutes-long default
-// run to a paper-faithful overnight run:
+// Every bench accepts the same scaling flags, so results can be dialled
+// from a minutes-long default run to a paper-faithful overnight run:
 //   --trials N   repetitions per configuration (paper: 20)
 //   --epochs N   training epochs per model
 //   --scale F    dataset-size multiplier (1.0 = Table II at 1/45 scale)
@@ -76,26 +76,60 @@ inline bool parse_bench_flags(int argc, char** argv, CliParser& cli,
   const std::string kernel_flag = cli.get_string("kernel");
   if (!kernel_flag.empty()) {
     const auto kind = kernels::parse_kernel(kernel_flag);
-    TDFM_CHECK(kind.has_value(),
-               "--kernel must be scalar|avx2 (got '" + kernel_flag + "')");
+    if (!kind) {
+      throw ConfigError("--kernel must be scalar|avx2 (got '" + kernel_flag + "')");
+    }
     kernels::set_active_kernel(*kind);  // throws when the host lacks it
   }
   settings.kernel = kernels::kernel_name(kernels::active_kernel());
   return true;
 }
 
+/// Splits "a,b,c" into its non-empty entries.
+inline std::vector<std::string> split_csv(const std::string& list) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos < list.size()) {
+    const std::size_t end = std::min(list.find(',', pos), list.size());
+    if (end > pos) out.push_back(list.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  return out;
+}
+
 /// Parses "ResNet50,VGG16,..." into architecture ids.
 inline std::vector<models::Arch> parse_arch_list(const std::string& list) {
   std::vector<models::Arch> archs;
-  std::size_t pos = 0;
-  while (pos < list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    archs.push_back(models::arch_from_name(list.substr(pos, end - pos)));
-    pos = end + 1;
+  for (const std::string& name : split_csv(list)) {
+    archs.push_back(models::arch_from_name(name));
   }
-  TDFM_CHECK(!archs.empty(), "empty model list");
+  if (archs.empty()) throw ConfigError("empty model list");
   return archs;
+}
+
+/// Writes `text` to the `--out` file `path`, or to stdout when it is empty.
+inline void deliver(const std::string& text, const std::string& path) {
+  if (path.empty()) {
+    std::cout << text;
+    return;
+  }
+  std::ofstream out(path, std::ios::trunc | std::ios::binary);
+  if (!out.good()) throw ConfigError("cannot open --out file: " + path);
+  out << text;
+  if (!out.good()) throw ConfigError("failed writing --out file: " + path);
+}
+
+/// A campaign summary in one `--report` format (`none` renders nothing).
+inline std::string render_report(const study::CampaignSummary& summary,
+                                 const std::string& format,
+                                 const study::ReportOptions& opts) {
+  if (format == "ascii") return study::render_ascii(summary, opts);
+  if (format == "markdown") return study::render_markdown(summary, opts);
+  if (format == "csv") return study::render_csv(summary, opts);
+  if (format == "json") return study::render_json_summary(summary, opts) + "\n";
+  if (format == "none") return "";
+  throw ConfigError("unknown --report format '" + format +
+                    "' (ascii|markdown|csv|json|none)");
 }
 
 /// Prints a header common to all benches.
@@ -143,26 +177,11 @@ class BenchJson {
     return out.str();
   }
 
-  /// Writes the file; no-op when `path` is empty (flag not given).
-  void write(const std::string& path) const {
-    if (path.empty()) return;
-    std::ofstream out(path, std::ios::trunc);
-    TDFM_CHECK(out.good(), "cannot open --out output file: " + path);
-    out << render();
-    TDFM_CHECK(out.good(), "failed writing --out output file: " + path);
-  }
-
   /// Emits the results where the flags asked for them: `--out` wins, the
   /// legacy `--json` alias still works, and with neither the document goes
   /// to stdout (scripted sweeps redirect with --out).
   void emit(const BenchSettings& s) const {
-    if (!s.out_path.empty()) {
-      write(s.out_path);
-    } else if (!s.json_path.empty()) {
-      write(s.json_path);
-    } else {
-      std::cout << render();
-    }
+    deliver(render(), s.out_path.empty() ? s.json_path : s.out_path);
   }
 
  private:
@@ -171,9 +190,9 @@ class BenchJson {
   std::vector<std::pair<std::string, std::string>> entries_;
 };
 
-/// Looks up a study preset and applies the shared bench flags on top, so the
-/// E1-E8 benches and the ablations stay thin wrappers: the grid lives in the
-/// preset, the scaling knobs live here.
+/// Looks up a study preset and applies the shared bench flags on top, so
+/// bench_overhead and the ablations stay thin wrappers: the grid lives in
+/// the preset, the scaling knobs live here.
 inline study::StudySpec preset_with_settings(const std::string& preset,
                                              const BenchSettings& s) {
   study::StudySpec spec = study::preset_spec(preset);

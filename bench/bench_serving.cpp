@@ -16,6 +16,7 @@
 //   $ ./bench/bench_serving --duration 2 --batch-sizes 1,4,8,16 --threads 0
 //   $ ./bench/bench_serving --rate 500 --deadline-ms 50 --json serving.json
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstring>
 #include <deque>
@@ -107,16 +108,17 @@ Tensor slice_sample(const Tensor& images, std::size_t i) {
 
 std::vector<std::size_t> parse_size_list(const std::string& list) {
   std::vector<std::size_t> sizes;
-  std::size_t pos = 0;
-  while (pos < list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    const int v = std::stoi(list.substr(pos, end - pos));
-    TDFM_CHECK(v >= 1, "--batch-sizes entries must be >= 1");
+  for (const std::string& entry : split_csv(list)) {
+    const char* const end = entry.data() + entry.size();
+    int v = 0;
+    const auto [stop, ec] = std::from_chars(entry.data(), end, v);
+    if (ec != std::errc() || stop != end || v < 1) {
+      throw ConfigError("--batch-sizes entries must be integers >= 1, got '" +
+                        entry + "'");
+    }
     sizes.push_back(static_cast<std::size_t>(v));
-    pos = end + 1;
   }
-  TDFM_CHECK(!sizes.empty(), "empty --batch-sizes list");
+  if (sizes.empty()) throw ConfigError("empty --batch-sizes list");
   return sizes;
 }
 
@@ -145,7 +147,7 @@ int run(int argc, char** argv) {
   }
   const LoadgenOptions load = parse_loadgen_flags(cli);
   const auto workers = cli.get_size("workers");
-  TDFM_CHECK(workers >= 1, "--workers must be >= 1");
+  if (workers < 1) throw ConfigError("--workers must be >= 1");
   const std::vector<std::size_t> batch_sizes =
       parse_size_list(cli.get_string("batch-sizes"));
   const auto queue_delay_us = cli.get_u64("queue-delay-us");

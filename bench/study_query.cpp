@@ -25,7 +25,6 @@
 // `--obs-dir` at import archives the campaign's observability-plane
 // snapshots into the store (restore them with `restore-obs`), making the
 // store a single self-contained artefact of a paper run.
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -36,6 +35,7 @@
 namespace {
 
 using namespace tdfm;
+using namespace tdfm::bench;
 
 constexpr const char* kUsage =
     "usage: study_query <command> [flags]\n"
@@ -50,17 +50,6 @@ constexpr const char* kUsage =
     "  restore-obs  write the archived telemetry snapshots back out\n"
     "\n"
     "run `study_query <command> --help` for that command's flags\n";
-
-void deliver(const std::string& text, const std::string& out_path) {
-  if (out_path.empty()) {
-    std::cout << text;
-    return;
-  }
-  std::ofstream out(out_path, std::ios::trunc | std::ios::binary);
-  TDFM_CHECK(out.good(), "cannot open --out file: " + out_path);
-  out << text;
-  TDFM_CHECK(out.good(), "failed writing --out file: " + out_path);
-}
 
 /// Shared query flags (filter, grep, agg); unset flags match everything.
 void add_query_flags(CliParser& cli) {
@@ -119,8 +108,9 @@ int cmd_import(int argc, char** argv) {
   set_log_level(parse_log_level(cli.get_string("log")));
   const std::string journal = cli.get_string("journal");
   const std::string dir = cli.get_string("store");
-  TDFM_CHECK(!journal.empty() && !dir.empty(),
-             "import needs --journal and --store");
+  if (journal.empty() || dir.empty()) {
+    throw ConfigError("import needs --journal and --store");
+  }
 
   store::WriterOptions opts;
   if (cli.get_int("segment-rows") > 0) {
@@ -164,7 +154,7 @@ int cmd_export(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   set_log_level(parse_log_level(cli.get_string("log")));
   const std::string dir = cli.get_string("store");
-  TDFM_CHECK(!dir.empty(), "export needs --store");
+  if (dir.empty()) throw ConfigError("export needs --store");
   const std::string out = cli.get_string("out");
   if (out.empty()) {
     store::StoreReader(dir).export_jsonl(std::cout);
@@ -190,13 +180,14 @@ int cmd_filter(int argc, char** argv, bool grep_mode) {
   if (!cli.parse(argc, argv)) return 0;
   set_log_level(parse_log_level(cli.get_string("log")));
   const std::string dir = cli.get_string("store");
-  TDFM_CHECK(!dir.empty(), (grep_mode ? std::string("grep")
-                                      : std::string("filter")) +
-                               " needs --store");
+  if (dir.empty()) {
+    throw ConfigError(std::string(grep_mode ? "grep" : "filter") +
+                      " needs --store");
+  }
   store::Query q = query_from_flags(cli);
   if (grep_mode) {
     q.grep = cli.get_string("pattern");
-    TDFM_CHECK(!q.grep.empty(), "grep needs --pattern");
+    if (q.grep.empty()) throw ConfigError("grep needs --pattern");
   }
 
   const store::StoreReader reader(dir);
@@ -218,7 +209,7 @@ int cmd_agg(int argc, char** argv) {
   CliParser cli;
   cli.add_flag("store", "", "store directory (required)");
   add_query_flags(cli);
-  cli.add_flag("report", "ascii", "report format: ascii|markdown|csv|json");
+  cli.add_flag("report", "ascii", "report format: ascii|markdown|csv|json|none");
   cli.add_flag("timings", "false",
                "include wall-clock columns (breaks byte-identity)");
   cli.add_flag("out", "", "write the report to this file (default: stdout)");
@@ -226,7 +217,7 @@ int cmd_agg(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   set_log_level(parse_log_level(cli.get_string("log")));
   const std::string dir = cli.get_string("store");
-  TDFM_CHECK(!dir.empty(), "agg needs --store");
+  if (dir.empty()) throw ConfigError("agg needs --store");
 
   const store::StoreReader reader(dir);
   std::vector<study::CellRecord> records;
@@ -240,15 +231,8 @@ int cmd_agg(int argc, char** argv) {
   const study::CampaignSummary summary = study::summarize_campaign(records);
   study::ReportOptions opts;
   opts.include_timings = cli.get_bool("timings");
-  const std::string format = cli.get_string("report");
-  std::string text;
-  if (format == "ascii") text = study::render_ascii(summary, opts);
-  else if (format == "markdown") text = study::render_markdown(summary, opts);
-  else if (format == "csv") text = study::render_csv(summary, opts);
-  else if (format == "json") text = study::render_json_summary(summary, opts) + "\n";
-  else throw ConfigError("unknown --report format '" + format +
-                         "' (ascii|markdown|csv|json)");
-  deliver(text, cli.get_string("out"));
+  deliver(render_report(summary, cli.get_string("report"), opts),
+          cli.get_string("out"));
   print_scan_stats(stats);
   return 0;
 }
@@ -260,7 +244,7 @@ int cmd_info(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 0;
   set_log_level(parse_log_level(cli.get_string("log")));
   const std::string dir = cli.get_string("store");
-  TDFM_CHECK(!dir.empty(), "info needs --store");
+  if (dir.empty()) throw ConfigError("info needs --store");
 
   const store::StoreReader reader(dir);
   const store::Manifest& m = reader.manifest();
@@ -297,7 +281,9 @@ int cmd_restore_obs(int argc, char** argv) {
   set_log_level(parse_log_level(cli.get_string("log")));
   const std::string dir = cli.get_string("store");
   const std::string out = cli.get_string("out");
-  TDFM_CHECK(!dir.empty() && !out.empty(), "restore-obs needs --store and --out");
+  if (dir.empty() || out.empty()) {
+    throw ConfigError("restore-obs needs --store and --out");
+  }
   const std::size_t files = store::StoreReader(dir).restore_telemetry(out);
   std::cerr << "restored " << files << " snapshot files into " << out << "\n";
   return 0;

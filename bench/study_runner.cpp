@@ -42,7 +42,6 @@
 // identical with it on or off.
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <iostream>
 #include <thread>
 #include <unordered_map>
@@ -56,30 +55,6 @@
 namespace {
 
 using namespace tdfm;
-
-/// Writes `text` to --out (or stdout when --out is empty).
-void deliver(const std::string& text, const std::string& out_path) {
-  if (out_path.empty()) {
-    std::cout << text;
-    return;
-  }
-  std::ofstream out(out_path, std::ios::trunc);
-  TDFM_CHECK(out.good(), "cannot open --out file: " + out_path);
-  out << text;
-  TDFM_CHECK(out.good(), "failed writing --out file: " + out_path);
-}
-
-std::vector<std::string> split_csv(const std::string& list) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos < list.size()) {
-    const std::size_t comma = list.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? list.size() : comma;
-    if (end > pos) out.push_back(list.substr(pos, end - pos));
-    pos = end + 1;
-  }
-  return out;
-}
 
 /// Parses "--shard i/N" (0-based shard index).  Empty means unsharded.
 void parse_shard(const std::string& text, std::size_t* index,
@@ -95,8 +70,10 @@ void parse_shard(const std::string& text, std::size_t* index,
   } catch (const std::exception&) {
     throw ConfigError("--shard wants i/N (e.g. 0/3), got '" + text + "'");
   }
-  TDFM_CHECK(*count >= 1 && *index < *count,
-             "--shard index must satisfy 0 <= i < N");
+  if (*count < 1 || *index >= *count) {
+    throw ConfigError("--shard index must satisfy 0 <= i < N, got '" + text +
+                      "'");
+  }
 }
 
 /// Per-shard journal path: <journal>.shard<i>of<N>.jsonl — the naming the
@@ -157,24 +134,13 @@ obs::Aggregator aggregate_snapshot_dir(const std::string& dir,
   return agg;
 }
 
-std::string render_report(const study::CampaignSummary& summary,
-                          const std::string& format,
-                          const study::ReportOptions& opts) {
-  if (format == "ascii") return study::render_ascii(summary, opts);
-  if (format == "markdown") return study::render_markdown(summary, opts);
-  if (format == "csv") return study::render_csv(summary, opts);
-  if (format == "json") return study::render_json_summary(summary, opts) + "\n";
-  if (format == "none") return "";
-  throw ConfigError("unknown --report format '" + format +
-                    "' (ascii|markdown|csv|json|none)");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
   // A bad TDFM_KERNEL fails here, before any work.
   (void)tdfm::kernels::active_kernel();
   using namespace tdfm;
+  using namespace tdfm::bench;
 
   CliParser cli;
   cli.add_flag("preset", "smoke", "campaign preset (see --list-presets true)");
@@ -283,7 +249,9 @@ int main(int argc, char** argv) try {
   // merged counters are the sums of the per-shard counters, which is what
   // the smoke script asserts.
   if (cli.get_bool("obs-report")) {
-    TDFM_CHECK(!obs_dir.empty(), "--obs-report needs --obs-dir or --journal");
+    if (obs_dir.empty()) {
+      throw ConfigError("--obs-report needs --obs-dir or --journal");
+    }
     std::size_t skipped = 0;
     const obs::Aggregator agg = aggregate_snapshot_dir(obs_dir, &skipped);
     const study::ProgressSummary p = study::summarize_progress(agg);
@@ -345,7 +313,7 @@ int main(int argc, char** argv) try {
     return cli.get_string(flag) != "preset";
   };
   if (overridden("models")) {
-    spec.models = bench::parse_arch_list(cli.get_string("models"));
+    spec.models = parse_arch_list(cli.get_string("models"));
   }
   if (overridden("datasets")) {
     spec.datasets.clear();
@@ -368,15 +336,18 @@ int main(int argc, char** argv) try {
 
   // Merge mode: fuse per-shard journals into --journal, then report.
   if (!cli.get_string("merge").empty()) {
-    TDFM_CHECK(!journal_path.empty(), "--merge needs --journal (the output)");
+    if (journal_path.empty()) {
+      throw ConfigError("--merge needs --journal (the output)");
+    }
     std::vector<std::string> shard_paths;
     if (cli.get_string("merge") == "auto") {
       // Discover the <journal>.shard<i>of<N>.jsonl siblings the --spawn
       // driver (or a by-hand sharded run following its naming) left behind.
       shard_paths = study::discover_shard_journals(journal_path);
-      TDFM_CHECK(!shard_paths.empty(),
-                 "--merge auto found no " + journal_path +
-                     ".shard<i>of<N>.jsonl siblings");
+      if (shard_paths.empty()) {
+        throw ConfigError("--merge auto found no " + journal_path +
+                          ".shard<i>of<N>.jsonl siblings");
+      }
       std::cerr << "discovered " << shard_paths.size() << " shard journals"
                 << " next to " << journal_path << "\n";
     } else {
@@ -407,8 +378,9 @@ int main(int argc, char** argv) try {
 
   if (cli.get_bool("report-only")) {
     const std::string store_dir = cli.get_string("store");
-    TDFM_CHECK(!journal_path.empty() || !store_dir.empty(),
-               "--report-only needs --journal or --store");
+    if (journal_path.empty() && store_dir.empty()) {
+      throw ConfigError("--report-only needs --journal or --store");
+    }
     // The store-backed path feeds the same Analyzer the same records in the
     // same order, so the report bytes cannot depend on which backend held
     // them (store_smoke.sh asserts this with cmp).
@@ -425,9 +397,10 @@ int main(int argc, char** argv) try {
   // Driver mode: one worker process per shard, then merge and report.
   const std::size_t spawn = cli.get_size("spawn");
   if (spawn > 0) {
-    TDFM_CHECK(!journal_path.empty(),
-               "--spawn needs --journal (merge target; per-shard journals "
-               "derive from it)");
+    if (journal_path.empty()) {
+      throw ConfigError("--spawn needs --journal (merge target; per-shard "
+                        "journals derive from it)");
+    }
     std::vector<std::string> shard_paths(spawn);
     for (std::size_t i = 0; i < spawn; ++i) {
       shard_paths[i] = shard_journal_path(journal_path, i, spawn);

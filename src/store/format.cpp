@@ -1,6 +1,7 @@
 #include "store/format.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "core/durable.hpp"
@@ -157,6 +158,39 @@ Manifest parse_manifest(std::string_view text, bool* recovered_torn_tail) {
   }, recovered_torn_tail);
   if (!saw_header) {
     throw ConfigError("store manifest: missing tdfm-store header line");
+  }
+  return m;
+}
+
+Manifest read_manifest(const std::string& dir, bool* recovered_torn_tail) {
+  Manifest m = parse_manifest(core::read_file(dir + "/" + kManifestFile),
+                              recovered_torn_tail);
+  // The header's totals are sums the segment list already holds; the
+  // reader reports them and the writer truncates segments.bin to them.
+  std::size_t rows = 0;
+  for (const SegmentMeta& seg : m.segments) {
+    if (seg.rows > std::numeric_limits<std::size_t>::max() - rows) {
+      throw ConfigError("store manifest: segment row counts overflow");
+    }
+    rows += seg.rows;
+  }
+  if (m.rows != rows) {
+    throw ConfigError("store manifest: header declares " +
+                      std::to_string(m.rows) + " rows but its segments hold " +
+                      std::to_string(rows));
+  }
+  std::uint64_t end = 0;
+  if (!m.segments.empty()) {
+    const SegmentMeta& last = m.segments.back();
+    if (last.bytes > std::numeric_limits<std::uint64_t>::max() - last.offset) {
+      throw ConfigError("store manifest: final segment end overflows");
+    }
+    end = last.offset + last.bytes;
+  }
+  if (m.data_bytes != end) {
+    throw ConfigError("store manifest: header declares data_bytes " +
+                      std::to_string(m.data_bytes) +
+                      " but the last segment ends at " + std::to_string(end));
   }
   return m;
 }

@@ -109,7 +109,7 @@ struct SegmentMeta {
 
 /// The committed state of a store: everything manifest.jsonl serialises.
 struct Manifest {
-  std::size_t rows = 0;
+  std::size_t rows = 0;          ///< sum of the segments' rows
   std::uint64_t data_bytes = 0;  ///< committed length of segments.bin
   std::size_t segment_rows = kDefaultSegmentRows;
   /// The imported journal recovered a torn final line (kill -9 signature);
@@ -135,5 +135,12 @@ struct Manifest {
 /// ConfigError on any other malformed line or a missing header.
 [[nodiscard]] Manifest parse_manifest(std::string_view text,
                                       bool* recovered_torn_tail = nullptr);
+
+/// Reads and parses `dir`'s manifest, the way the reader and the writer
+/// open a store.  Also throws ConfigError, naming both values, when the
+/// header's `rows` or `data_bytes` disagrees with its segments (the sum of
+/// their rows; the end of the last one).
+[[nodiscard]] Manifest read_manifest(const std::string& dir,
+                                     bool* recovered_torn_tail = nullptr);
 
 }  // namespace tdfm::store

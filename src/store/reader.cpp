@@ -207,8 +207,7 @@ DecodedSegment decode_segment(std::string_view seg, const SegmentMeta& meta,
 
 StoreReader::StoreReader(std::string dir) : dir_(std::move(dir)) {
   bool manifest_torn = false;
-  manifest_ =
-      parse_manifest(core::read_file(dir_ + "/" + kManifestFile), &manifest_torn);
+  manifest_ = read_manifest(dir_, &manifest_torn);
   recovered_truncated_tail_ = manifest_torn;
 
   const std::string data_path = dir_ + "/" + kDataFile;

@@ -89,7 +89,7 @@ StoreWriter::StoreWriter(std::string dir, WriterOptions options)
   const std::string manifest_path = dir_ + "/" + kManifestFile;
   const std::string data_path = dir_ + "/" + kDataFile;
   if (fs::exists(manifest_path)) {
-    manifest_ = parse_manifest(core::read_file(manifest_path));
+    manifest_ = read_manifest(dir_);
     // An existing store's geometry wins: mixed segment sizes would make the
     // zone-map/row accounting depend on writer history.
     options_.segment_rows = manifest_.segment_rows;

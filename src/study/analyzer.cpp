@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/table.hpp"
+#include "faults/fault_injector.hpp"
 #include "obs/json.hpp"
 
 namespace tdfm::study {
@@ -67,6 +68,31 @@ GroupStats fold_group(const std::vector<const CellRecord*>& records) {
   return g;
 }
 
+/// The single level a combined one behaves like (§IV-C): its mislabelling
+/// part, else its repetition part; "" for a single level or neither part.
+std::string dominant_single_level(const std::string& level) {
+  if (level.find('+') == std::string::npos) return "";
+  for (const faults::FaultType type :
+       {faults::FaultType::kMislabelling, faults::FaultType::kRepetition}) {
+    const std::string prefix = std::string(faults::fault_name(type)) + "@";
+    std::size_t pos = 0;
+    while (pos < level.size()) {
+      const std::size_t end = std::min(level.find('+', pos), level.size());
+      if (level.compare(pos, prefix.size(), prefix) == 0) {
+        return level.substr(pos, end - pos);
+      }
+      pos = end + 1;
+    }
+  }
+  return "";
+}
+
+std::vector<double> ads_of(const std::vector<const CellRecord*>& records) {
+  std::vector<double> ads;
+  for (const CellRecord* r : records) ads.push_back(r->ad);
+  return ads;
+}
+
 }  // namespace
 
 CampaignSummary summarize_campaign(std::span<const CellRecord> records) {
@@ -90,6 +116,19 @@ CampaignSummary summarize_campaign(std::span<const CellRecord> records) {
   }
   s.groups.reserve(groups.size());
   for (const auto& [key, members] : groups) s.groups.push_back(fold_group(members));
+
+  for (const auto& [key, members] : groups) {
+    const std::string single = dominant_single_level(s.fault_levels[key[2]]);
+    const auto other =
+        groups.find({key[0], key[1], index_of(s.fault_levels, single), key[3]});
+    if (single.empty() || other == groups.end()) continue;
+    const std::vector<double> combined_ads = ads_of(members);
+    const std::vector<double> single_ads = ads_of(other->second);
+    s.fault_comparisons.push_back(
+        {s.datasets[key[0]], s.models[key[1]], s.techniques[key[3]],
+         s.fault_levels[key[2]], single, mean_of(combined_ads),
+         mean_of(single_ads), welch_t_test(combined_ads, single_ads)});
+  }
 
   // Technique roll-up: contexts are (dataset, model, fault level) rows; a
   // row enters the ranking only when it scored every technique, so ranks
@@ -137,6 +176,17 @@ CampaignSummary summarize_campaign(std::span<const CellRecord> records) {
 
 namespace {
 
+const GroupStats* find_group(const CampaignSummary& s, const std::string& dataset,
+                             const std::string& model, const std::string& level,
+                             const std::string& technique) {
+  const auto it = std::find_if(
+      s.groups.begin(), s.groups.end(), [&](const GroupStats& g) {
+        return g.dataset == dataset && g.model == model &&
+               g.fault_level == level && g.technique == technique;
+      });
+  return it == s.groups.end() ? nullptr : &*it;
+}
+
 /// Shared table assembly for the ascii and markdown renderers; `markdown`
 /// only switches the AsciiTable output mode.
 std::string render_tables(const CampaignSummary& s, const ReportOptions& opts,
@@ -159,16 +209,12 @@ std::string render_tables(const CampaignSummary& s, const ReportOptions& opts,
         std::vector<std::string> row = {level};
         bool row_any = false;
         for (const std::string& technique : s.techniques) {
-          const auto it = std::find_if(
-              s.groups.begin(), s.groups.end(), [&](const GroupStats& g) {
-                return g.dataset == dataset && g.model == model &&
-                       g.fault_level == level && g.technique == technique;
-              });
-          if (it == s.groups.end()) {
+          const GroupStats* g = find_group(s, dataset, model, level, technique);
+          if (g == nullptr) {
             row.push_back("-");
           } else {
-            row.push_back(percent_with_ci(it->ad.mean, it->ad.ci95_half_width));
-            golden = it->golden_accuracy.mean;
+            row.push_back(percent_with_ci(g->ad.mean, g->ad.ci95_half_width));
+            golden = g->golden_accuracy.mean;
             row_any = true;
           }
         }
@@ -193,6 +239,47 @@ std::string render_tables(const CampaignSummary& s, const ReportOptions& opts,
                      percent(t.median_ad), std::to_string(t.contexts)});
     }
     os << "## Technique mean ranks (lower is better)\n";
+    emit(table);
+  }
+
+  if (!s.fault_comparisons.empty()) {
+    AsciiTable table({"dataset", "model", "technique", "combined", "single",
+                      "t", "dof", "at 5%"});
+    for (const FaultComparison& c : s.fault_comparisons) {
+      table.add_row({c.dataset, c.model, c.technique, c.combined, c.single,
+                     fixed(c.welch.t, 2), fixed(c.welch.dof, 1),
+                     c.welch.significant_at_05 ? "DIFFERENT" : "similar"});
+    }
+    os << "## Combined vs dominant single fault (Welch t-test on per-trial "
+          "AD)\n";
+    emit(table);
+  }
+
+  // Table IV layout for a clean-only grid: rows (model, dataset), Base =
+  // golden accuracy, every other column the technique's accuracy.
+  if (s.fault_levels == std::vector<std::string>{"none"}) {
+    std::vector<std::string> header = {"model", "dataset"};
+    header.insert(header.end(), s.techniques.begin(), s.techniques.end());
+    AsciiTable table(header);
+    for (const std::string& dataset : s.datasets) {
+      for (const std::string& model : s.models) {
+        std::vector<std::string> row = {model, dataset};
+        bool any = false;
+        for (const std::string& technique : s.techniques) {
+          const GroupStats* g = find_group(s, dataset, model, "none", technique);
+          if (g == nullptr) {
+            row.push_back("-");
+            continue;
+          }
+          any = true;
+          row.push_back(percent(technique == "Base" ? g->golden_accuracy.mean
+                                                    : g->faulty_accuracy.mean,
+                                0));
+        }
+        if (any) table.add_row(std::move(row));
+      }
+    }
+    os << "## Table IV: accuracy without fault injection (Base = golden)\n";
     emit(table);
   }
 

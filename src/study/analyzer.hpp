@@ -11,7 +11,9 @@
 //     — the cells of Figs. 3/4 and Table IV;
 //   * per-technique mean rank across contexts (a context = dataset x model x
 //     fault level), the statistic behind Observations 1-3 ("ensembles rank
-//     best most consistently, ...").
+//     best most consistently, ...");
+//   * Welch's t-test of each combined fault level against its dominant
+//     single level on the per-trial ADs (§IV-C), when the grid holds both.
 #pragma once
 
 #include <span>
@@ -55,6 +57,20 @@ struct TechniqueSummary {
   std::size_t contexts = 0;  ///< contexts that scored every technique
 };
 
+/// One §IV-C comparison: a combined fault level against the single level
+/// that dominates it (mislabelling, else repetition), on the per-trial ADs
+/// of one (dataset, model, technique).
+struct FaultComparison {
+  std::string dataset;
+  std::string model;
+  std::string technique;
+  std::string combined;      ///< e.g. "mislabelling@30%+removal@30%"
+  std::string single;        ///< e.g. "mislabelling@30%"
+  double combined_ad = 0.0;  ///< mean of the combined level's ADs
+  double single_ad = 0.0;    ///< mean of the single level's ADs
+  WelchResult welch;
+};
+
 struct CampaignSummary {
   // Axis value orderings, first-seen in the record stream (expansion order
   // when the records come from run_campaign).
@@ -67,6 +83,9 @@ struct CampaignSummary {
   std::vector<GroupStats> groups;
   /// Sorted best mean rank first (ties keep technique order).
   std::vector<TechniqueSummary> technique_summaries;
+  /// Group order of the combined levels; empty unless some combined level
+  /// and its dominant single level share a (dataset, model, technique).
+  std::vector<FaultComparison> fault_comparisons;
   std::size_t total_records = 0;
 };
 
@@ -83,7 +102,9 @@ struct ReportOptions {
 };
 
 /// Box-drawing tables for the terminal: one AD panel per (dataset, model),
-/// the technique roll-up, and (optionally) the overhead table.
+/// the technique roll-up, the panels the records call for (the combined-
+/// fault comparisons; Table IV's accuracies when `none` is the only fault
+/// level; int8 vs fp32), and (optionally) the overhead table.
 [[nodiscard]] std::string render_ascii(const CampaignSummary& summary,
                                        const ReportOptions& options = {});
 

@@ -31,7 +31,7 @@ std::vector<TechniqueKind> techniques_without_lc() {
           TechniqueKind::kEnsemble};
 }
 
-/// Shared bench-scale skeleton (mirrors the bench binaries' defaults).
+/// Shared bench-scale skeleton.
 StudySpec bench_scale(std::string name) {
   StudySpec spec;
   spec.name = std::move(name);
@@ -134,7 +134,7 @@ std::vector<Preset> build_presets() {
                        std::move(spec)});
   }
   {
-    // §II / §III-D: the paper's opening example, at the E1 bench's defaults.
+    // §II / §III-D: the paper's opening example.
     StudySpec spec = bench_scale("motivating-example");
     spec.datasets = {DatasetKind::kPneumoniaSim};
     spec.models = {Arch::kResNet50};
@@ -150,7 +150,7 @@ std::vector<Preset> build_presets() {
   }
   {
     // §IV-C: every single fault type and every pair of them at 30%, Base
-    // only; the E7 bench Welch-tests each pair against its dominant single.
+    // only; the Analyzer Welch-tests each pair against its dominant single.
     StudySpec spec = bench_scale("combined-faults");
     spec.datasets = {DatasetKind::kGtsrbSim};
     spec.models = {Arch::kConvNet};

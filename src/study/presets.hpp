@@ -1,11 +1,10 @@
 // Named campaign presets mirroring the paper's figures and tables.
 //
-// A preset is a fully-specified StudySpec at bench scale (the same defaults
-// the bench binaries ship with: mostly 1 trial, 10 epochs, 0.4 dataset
-// scale).  The E1-E7 benches are thin wrappers over these presets — the
-// bench flags (--trials, --epochs, --scale, --models, ...) override preset
-// fields *after* lookup, so "what grid does Fig. 3 run" lives in exactly one
-// place.  `paper-full` is the overnight configuration (every architecture,
+// A preset is a fully-specified StudySpec at bench scale (mostly 1 trial,
+// 10 epochs, 0.4 dataset scale).  `study_runner --preset <name>` runs E1-E7
+// from these presets; its flags (--trials, --epochs, --scale, --models, ...)
+// override preset fields *after* lookup, so "what grid does Fig. 3 run"
+// lives in exactly one place.  `paper-full` is the overnight configuration (every architecture,
 // every fault sweep, 20 trials, full-size datasets); `smoke` is the CI
 // preset, sized to finish in seconds even under ThreadSanitizer.
 #pragma once

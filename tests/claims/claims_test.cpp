@@ -91,7 +91,9 @@ TEST(Claims, EnsembleRanksBestAndLabelSmoothingMatchesBaseOnConvNet) {
 }
 
 // §IV-C: a combination of fault types behaves like its dominant single
-// type (Welch's t-test on the per-trial ADs finds no difference at 5%).
+// type (Welch's t-test on the per-trial ADs finds no difference at 5%).  The
+// analyzer pairs mislabelling+removal and mislabelling+repetition with
+// mislabelling, and removal+repetition with repetition.
 TEST(Claims, CombinedFaultsMatchTheDominantSingleFault) {
   const StudySpec spec =
       at_test_scale(preset_spec("combined-faults"), 0.25, 5, 3);
@@ -99,35 +101,16 @@ TEST(Claims, CombinedFaultsMatchTheDominantSingleFault) {
   std::vector<double> golden_samples;
   for (const CellRecord& r : records) golden_samples.push_back(r.golden_accuracy);
   const double golden = mean_of(golden_samples);
-  const auto ads = [&](std::size_t level) {
-    const std::string name = spec.fault_level_name(level);
-    std::vector<double> out;
-    for (const CellRecord& r : records) {
-      if (r.fault_level == name) out.push_back(r.ad);
-    }
-    return out;
-  };
-  // Level indices follow the preset: 0 mislabelling, 1 removal,
-  // 2 repetition, then the pairs 0+1, 0+2, 1+2.
-  const struct {
-    std::size_t combined;
-    std::size_t single;
-  } pairs[] = {{3, 0}, {4, 0}, {5, 2}};
-  for (const auto& p : pairs) {
-    const std::vector<double> combined = ads(p.combined);
-    const std::vector<double> single = ads(p.single);
-    ASSERT_EQ(combined.size(), spec.trials);
-    const WelchResult w = welch_t_test(combined, single);
+  const CampaignSummary s = summarize_campaign(records);
+  for (const GroupStats& g : s.groups) ASSERT_EQ(g.trials, spec.trials);
+  ASSERT_EQ(s.fault_comparisons.size(), 3U);
+  for (const FaultComparison& c : s.fault_comparisons) {
     std::printf("[claim combined-faults] kernel=%s golden %.4f %s AD %.4f vs "
                 "%s AD %.4f: t=%.3f dof=%.2f\n",
-                kernels::kernel_name(kernels::active_kernel()),
-                golden,
-                spec.fault_level_name(p.combined).c_str(), mean_of(combined),
-                spec.fault_level_name(p.single).c_str(), mean_of(single), w.t,
-                w.dof);
-    EXPECT_FALSE(w.significant_at_05)
-        << spec.fault_level_name(p.combined) << " vs "
-        << spec.fault_level_name(p.single);
+                kernels::kernel_name(kernels::active_kernel()), golden,
+                c.combined.c_str(), c.combined_ad, c.single.c_str(), c.single_ad,
+                c.welch.t, c.welch.dof);
+    EXPECT_FALSE(c.welch.significant_at_05) << c.combined << " vs " << c.single;
   }
 }
 

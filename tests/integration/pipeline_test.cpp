@@ -41,7 +41,8 @@ TEST(Pipeline, GoldenModelLearnsTheCleanTask) {
   spec.fault_levels = {{}};
   const auto r = run(spec);
   // Well above the 50% class prior; the deep models reach ~95% on this task
-  // (bench_motivating_example) but the width-6 ConvNet plateaus lower.
+  // (study_runner --preset motivating-example) but the width-6 ConvNet
+  // plateaus lower.
   EXPECT_GT(r.groups[0].golden_accuracy.mean, 0.65);
 }
 

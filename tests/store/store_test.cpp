@@ -587,16 +587,46 @@ TEST(StoreHostile, EarlierSegmentPastTheEndOfTheFileIsANamedError) {
 
 TEST(StoreHostile, ForgedRowCountIsANamedError) {
   const std::string dir = write_store("rows", 6, 2);
-  const std::string manifest = read_bytes(dir + "/" + kManifestFile);
-  edit_manifest(dir, [](Manifest& m) { m.segments.at(1).rows = kForged; });
+  // The header's sum follows the forged segment, so the store opens and the
+  // read names the segment.
+  edit_manifest(dir, [](Manifest& m) {
+    m.segments.at(1).rows = kForged;
+    m.rows = 4 + kForged;
+  });
   const StoreReader reader(dir);
   EXPECT_NE(config_error_of([&] { (void)reader.read_all(); })
                 .find("manifest declares 1000000000000000 rows"),
             std::string::npos);
-  // The header's total sizes nothing: the segments are read as they are.
-  write_bytes(dir + "/" + kManifestFile, manifest);
-  edit_manifest(dir, [](Manifest& m) { m.rows = kForged; });
-  EXPECT_EQ(StoreReader(dir).read_all().size(), 6U);
+}
+
+// `info` prints the header's rows and the writer truncates segments.bin to
+// its data_bytes, so a header that disagrees with its segments fails at
+// open, in the reader and the writer alike, and no byte is cut.
+TEST(StoreHostile, HeaderThatDisagreesWithItsSegmentsIsANamedError) {
+  const std::string dir = write_store("header", 6, 2);
+  const std::string manifest = read_bytes(dir + "/" + kManifestFile);
+  const std::string data = read_bytes(dir + "/" + kDataFile);
+  const struct {
+    std::function<void(Manifest&)> forge;
+    std::string error;
+  } forgeries[] = {
+      {[](Manifest& m) { m.rows = kForged; },
+       "header declares 1000000000000000 rows but its segments hold 6"},
+      {[](Manifest& m) { m.data_bytes = 10; },
+       "header declares data_bytes 10 but the last segment ends at " +
+           std::to_string(data.size())},
+  };
+  for (const auto& forgery : forgeries) {
+    write_bytes(dir + "/" + kManifestFile, manifest);
+    edit_manifest(dir, forgery.forge);
+    EXPECT_NE(config_error_of([&] { (void)StoreReader(dir); }).find(forgery.error),
+              std::string::npos)
+        << forgery.error;
+    EXPECT_NE(config_error_of([&] { StoreWriter writer(dir); }).find(forgery.error),
+              std::string::npos)
+        << forgery.error;
+    EXPECT_EQ(read_bytes(dir + "/" + kDataFile), data);
+  }
 }
 
 TEST(StoreHostile, ForgedRawSizeIsANamedError) {

@@ -12,6 +12,8 @@
 
 #include "../obs/json_check.hpp"
 #include "core/error.hpp"
+#include "core/statistics.hpp"
+#include "core/table.hpp"
 #include "obs/metrics.hpp"
 #include "study/study.hpp"
 
@@ -261,6 +263,167 @@ TEST(Campaign, AnalyzerFoldsRecordsIntoPaperAggregates) {
   with_timings.include_timings = true;
   EXPECT_NE(render_ascii(summary, with_timings),
             render_ascii(summary, ReportOptions{}));
+}
+
+/// A hand-built record: no training, only the fields the analyzer reads.
+CellRecord record(const std::string& level, const std::string& technique,
+                  std::size_t trial, double ad,
+                  const std::string& model = "ConvNet") {
+  CellRecord r;
+  r.cell = model + "/" + level + "/" + technique + "/" + std::to_string(trial);
+  r.dataset = "gtsrb-sim";
+  r.model = model;
+  r.fault_level = level;
+  r.technique = technique;
+  r.trial = trial;
+  r.golden_accuracy = 0.8 + 0.01 * static_cast<double>(trial);
+  r.faulty_accuracy = r.golden_accuracy - ad / 2;
+  r.ad = ad;
+  r.reverse_ad = ad / 4;
+  r.naive_drop = ad / 2;
+  return r;
+}
+
+/// The quant-ad preset's shape: two models, the clean level and 30%
+/// mislabelling, four techniques, two trials, every cell measured at q8_0.
+std::vector<CellRecord> quant_ad_shaped_records() {
+  std::vector<CellRecord> records;
+  double ad = 0.05;
+  for (const std::string model : {"ConvNet", "MobileNet"}) {
+    for (const std::string level : {"none", "mislabelling@30%"}) {
+      for (const std::string technique : {"Base", "LS", "RL", "Ens"}) {
+        for (std::size_t trial = 1; trial <= 2; ++trial) {
+          CellRecord r = record(level, technique, trial, ad, model);
+          r.quantized = true;
+          r.quantized_accuracy = r.faulty_accuracy - 0.01;
+          r.quantized_ad = ad + 0.02;
+          r.quantized_vs_fp32_ad = 0.03 * static_cast<double>(trial);
+          records.push_back(r);
+          ad += 0.0125;
+        }
+      }
+    }
+  }
+  return records;
+}
+
+// A combined level is compared only with its dominant single level:
+// mislabelling, else repetition, in the same (dataset, model, technique).
+TEST(Analyzer, WelchPanelNeedsACombinedLevelAndItsDominantSingleLevel) {
+  const std::string header = "## Combined vs dominant single fault";
+  std::vector<CellRecord> records;
+  for (std::size_t trial = 1; trial <= 3; ++trial) {
+    records.push_back(record("mislabelling@30%", "Base", trial, 0.1 * trial));
+    records.push_back(record("removal@30%+repetition@30%", "Base", trial, 0.2));
+  }
+  CampaignSummary s = summarize_campaign(records);
+  EXPECT_TRUE(s.fault_comparisons.empty());
+  EXPECT_EQ(render_ascii(s).find(header), std::string::npos);
+
+  for (std::size_t trial = 1; trial <= 3; ++trial) {
+    records.push_back(record("repetition@30%", "Base", trial, 0.3));
+    records.push_back(record("mislabelling@30%+removal@30%", "Base", trial, 0.4));
+    records.push_back(record("mislabelling@30%+removal@30%", "LS", trial, 0.4));
+  }
+  s = summarize_campaign(records);
+  ASSERT_EQ(s.fault_comparisons.size(), 2U);  // LS has no single level
+  EXPECT_EQ(s.fault_comparisons[0].combined, "removal@30%+repetition@30%");
+  EXPECT_EQ(s.fault_comparisons[0].single, "repetition@30%");
+  EXPECT_EQ(s.fault_comparisons[1].combined, "mislabelling@30%+removal@30%");
+  EXPECT_EQ(s.fault_comparisons[1].single, "mislabelling@30%");
+  EXPECT_NE(render_ascii(s).find(header), std::string::npos);
+}
+
+TEST(Analyzer, WelchPanelIsTheWelchTestOnPerTrialAds) {
+  const std::vector<double> combined = {0.10, 0.25, 0.40, 0.30};
+  const std::vector<double> single = {0.35, 0.30, 0.55};
+  std::vector<CellRecord> records;
+  for (std::size_t i = 0; i < single.size(); ++i) {
+    records.push_back(record("repetition@10%", "Base", i + 1, single[i]));
+  }
+  for (std::size_t i = 0; i < combined.size(); ++i) {
+    records.push_back(record("repetition@10%+removal@10%", "Base", i + 1, combined[i]));
+  }
+  const CampaignSummary s = summarize_campaign(records);
+  ASSERT_EQ(s.fault_comparisons.size(), 1U);
+  const FaultComparison& c = s.fault_comparisons[0];
+  const WelchResult w = welch_t_test(combined, single);
+  EXPECT_EQ(c.welch.t, w.t);
+  EXPECT_EQ(c.welch.dof, w.dof);
+  EXPECT_EQ(c.welch.significant_at_05, w.significant_at_05);
+  EXPECT_EQ(c.combined_ad, mean_of(combined));
+  EXPECT_EQ(c.single_ad, mean_of(single));
+  EXPECT_NE(render_ascii(s).find("| " + fixed(w.t, 2) + " | " + fixed(w.dof, 1) + " |"),
+            std::string::npos);
+}
+
+// Table IV's layout appears when the clean level is the only level: Base
+// shows the golden accuracy, the other columns each technique's accuracy.
+TEST(Analyzer, TableFourPanelOnlyForACleanOnlyGrid) {
+  const std::string header = "## Table IV: accuracy without fault injection";
+  std::vector<CellRecord> records = {record("none", "Base", 1, 0.0),
+                                     record("none", "LS", 1, 0.3),
+                                     record("none", "Base", 1, 0.0, "MobileNet")};
+  const std::string text = render_ascii(summarize_campaign(records));
+  EXPECT_NE(text.find(header), std::string::npos);
+  EXPECT_NE(text.find("| ConvNet   | gtsrb-sim | 81%  | 66% |"), std::string::npos) << text;
+  EXPECT_NE(text.find("| MobileNet | gtsrb-sim | 81%  | -   |"), std::string::npos) << text;
+  records.push_back(record("mislabelling@30%", "Base", 1, 0.2));
+  EXPECT_EQ(render_ascii(summarize_campaign(records)).find(header), std::string::npos);
+}
+
+// The benchmark's and the bits manifest's grid gains no panel.
+TEST(Analyzer, QuantAdShapedGridRendersAsBefore) {
+  const std::string expected = R"(## AD: gtsrb-sim / ConvNet  (golden accuracy 81.5%)
++------------------+---------------+---------------+---------------+---------------+
+| fault level      | Base          | LS            | RL            | Ens           |
++------------------+---------------+---------------+---------------+---------------+
+| none             | 5.6% ± 7.9%  | 8.1% ± 7.9%  | 10.6% ± 7.9% | 13.1% ± 7.9% |
+| mislabelling@30% | 15.6% ± 7.9% | 18.1% ± 7.9% | 20.6% ± 7.9% | 23.1% ± 7.9% |
++------------------+---------------+---------------+---------------+---------------+
+
+## AD: gtsrb-sim / MobileNet  (golden accuracy 81.5%)
++------------------+---------------+---------------+---------------+---------------+
+| fault level      | Base          | LS            | RL            | Ens           |
++------------------+---------------+---------------+---------------+---------------+
+| none             | 25.6% ± 7.9% | 28.1% ± 7.9% | 30.6% ± 7.9% | 33.1% ± 7.9% |
+| mislabelling@30% | 35.6% ± 7.9% | 38.1% ± 7.9% | 40.6% ± 7.9% | 43.1% ± 7.9% |
++------------------+---------------+---------------+---------------+---------------+
+
+## Technique mean ranks (lower is better)
++-----------+-----------+---------+-----------+----------+
+| technique | mean rank | mean AD | median AD | contexts |
++-----------+-----------+---------+-----------+----------+
+| Base      | 1.00      | 20.6%   | 20.6%     | 4        |
+| LS        | 2.00      | 23.1%   | 23.1%     | 4        |
+| RL        | 3.00      | 25.6%   | 25.6%     | 4        |
+| Ens       | 4.00      | 28.1%   | 28.1%     | 4        |
++-----------+-----------+---------+-----------+----------+
+
+## Quantization: int8 vs fp32
++-----------+-----------+------------------+-----------+---------------+---------------+----------+-----------------+
+| dataset   | model     | fault level      | technique | fp32 AD       | int8 AD       | int8 acc | int8 vs fp32 AD |
++-----------+-----------+------------------+-----------+---------------+---------------+----------+-----------------+
+| gtsrb-sim | ConvNet   | none             | Base      | 5.6% ± 7.9%  | 7.6% ± 7.9%  | 77.7%    | 4.5%            |
+| gtsrb-sim | ConvNet   | none             | LS        | 8.1% ± 7.9%  | 10.1% ± 7.9% | 76.4%    | 4.5%            |
+| gtsrb-sim | ConvNet   | none             | RL        | 10.6% ± 7.9% | 12.6% ± 7.9% | 75.2%    | 4.5%            |
+| gtsrb-sim | ConvNet   | none             | Ens       | 13.1% ± 7.9% | 15.1% ± 7.9% | 73.9%    | 4.5%            |
+| gtsrb-sim | ConvNet   | mislabelling@30% | Base      | 15.6% ± 7.9% | 17.6% ± 7.9% | 72.7%    | 4.5%            |
+| gtsrb-sim | ConvNet   | mislabelling@30% | LS        | 18.1% ± 7.9% | 20.1% ± 7.9% | 71.4%    | 4.5%            |
+| gtsrb-sim | ConvNet   | mislabelling@30% | RL        | 20.6% ± 7.9% | 22.6% ± 7.9% | 70.2%    | 4.5%            |
+| gtsrb-sim | ConvNet   | mislabelling@30% | Ens       | 23.1% ± 7.9% | 25.1% ± 7.9% | 68.9%    | 4.5%            |
+| gtsrb-sim | MobileNet | none             | Base      | 25.6% ± 7.9% | 27.6% ± 7.9% | 67.7%    | 4.5%            |
+| gtsrb-sim | MobileNet | none             | LS        | 28.1% ± 7.9% | 30.1% ± 7.9% | 66.4%    | 4.5%            |
+| gtsrb-sim | MobileNet | none             | RL        | 30.6% ± 7.9% | 32.6% ± 7.9% | 65.2%    | 4.5%            |
+| gtsrb-sim | MobileNet | none             | Ens       | 33.1% ± 7.9% | 35.1% ± 7.9% | 63.9%    | 4.5%            |
+| gtsrb-sim | MobileNet | mislabelling@30% | Base      | 35.6% ± 7.9% | 37.6% ± 7.9% | 62.7%    | 4.5%            |
+| gtsrb-sim | MobileNet | mislabelling@30% | LS        | 38.1% ± 7.9% | 40.1% ± 7.9% | 61.4%    | 4.5%            |
+| gtsrb-sim | MobileNet | mislabelling@30% | RL        | 40.6% ± 7.9% | 42.6% ± 7.9% | 60.2%    | 4.5%            |
+| gtsrb-sim | MobileNet | mislabelling@30% | Ens       | 43.1% ± 7.9% | 45.1% ± 7.9% | 58.9%    | 4.5%            |
++-----------+-----------+------------------+-----------+---------------+---------------+----------+-----------------+
+
+)";
+  EXPECT_EQ(render_ascii(summarize_campaign(quant_ad_shaped_records())), expected);
 }
 
 TEST(Campaign, ResumeRequiresAJournalPath) {
