@@ -126,8 +126,9 @@ int run(int argc, char** argv) {
   CliParser cli;
   BenchSettings settings;
   cli.add_flag("workers", "1",
-               "engine worker threads (= replica slots); 1 = the worker fans "
-               "each micro-batch out across --threads pool threads");
+               "engine worker threads, all predicting through one served "
+               "network; 1 = the worker fans each micro-batch out across "
+               "--threads pool threads");
   cli.add_flag("batch-sizes", "1,4,8,16",
                "comma list of max_batch_size configs to sweep");
   cli.add_flag("queue-delay-us", "1000",
@@ -137,7 +138,7 @@ int run(int argc, char** argv) {
   cli.add_flag("checkpoint", "bench_serving.ckpt",
                "where to write the v2 model checkpoint");
   cli.add_flag("quantize", "0",
-               "serve q8_0-quantized replicas (1) instead of fp32 (0)");
+               "serve the q8_0-quantized network (1) instead of fp32 (0)");
   add_loadgen_flags(cli, /*default_duration=*/2.0, /*default_rate=*/0.0,
                     /*default_warmup=*/0.25);
   if (!parse_bench_flags(argc, argv, cli, settings, /*default_trials=*/1,
@@ -223,9 +224,9 @@ int run(int argc, char** argv) {
   double best_batched_rps = 0.0;
   std::size_t best_batched = 0;
   for (const std::size_t max_batch : batch_sizes) {
-    serve::ModelRegistry registry(workers);
-    // v2: the header names the arch; `quantize` swaps every replica's Dense
-    // and Conv2D weights for q8_0 blocks at load time.
+    serve::ModelRegistry registry;
+    // v2: the header names the arch; `quantize` swaps the served network's
+    // Dense and Conv2D weights for q8_0 blocks at load time.
     (void)registry.load("convnet", ckpt_path, quantize);
     serve::EngineConfig ecfg;
     ecfg.workers = workers;

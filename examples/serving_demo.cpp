@@ -62,7 +62,7 @@ int main(int argc, char** argv) try {
   CliParser cli;
   cli.add_flag("epochs", "3", "training epochs per model generation");
   cli.add_flag("requests", "200", "requests to send per serving phase");
-  cli.add_flag("workers", "2", "engine worker threads");
+  cli.add_flag("workers", "2", "engine worker threads (they share the served network)");
   cli.add_flag("seed", "7", "random seed");
   cli.add_flag("threads", "0", "training threads (0 = hardware concurrency)");
   add_obs_flags(cli);
@@ -100,7 +100,7 @@ int main(int argc, char** argv) try {
 
   // 2. Serve generation 1.  The registry reads the architecture from the
   //    checkpoint header — no model-specific wiring here.
-  serve::ModelRegistry registry(/*replica_slots=*/workers);
+  serve::ModelRegistry registry;
   std::cout << "serving model_v1.ckpt (version "
             << registry.load("classifier", "model_v1.ckpt") << ")\n";
   serve::EngineConfig ecfg;

@@ -5,7 +5,7 @@
 // a padded block contributes exactly 0 to any dot product and quantized
 // operands of mismatched-but-equal logical width stay comparable.  Per fp32
 // weight: 1 byte of code + 4/32 bytes of scale ≈ 1.125 bytes, a ~3.9x size
-// reduction (the "4x smaller replicas" of the serving layer).
+// reduction (the "4x smaller" served networks of the serving layer).
 //
 // Quantization is deterministic and exact, one rule for every kernel table
 // (quantize_rows_q8 dispatches through KernelTable::quantize_q8; the plain
@@ -44,7 +44,7 @@ struct Q8Matrix {
   AlignedBuffer<float> scales;      ///< [rows * blocks_per_row]
 
   [[nodiscard]] bool empty() const { return rows == 0; }
-  /// Bytes held by codes + scales (the replica-size accounting).
+  /// Bytes held by codes + scales (the served-network size accounting).
   [[nodiscard]] std::size_t byte_size() const {
     return data.size() * sizeof(std::int8_t) + scales.size() * sizeof(float);
   }

@@ -2,37 +2,11 @@
 
 #include "core/thread_pool.hpp"
 #include "nn/loss.hpp"
-#include "tensor/tensor_ops.hpp"
 
 namespace tdfm::mitigation {
 
 std::vector<int> EnsembleClassifier::predict(const Tensor& images) {
-  const std::size_t n = images.dim(0);
-  const std::size_t k = members_.front()->num_classes();
-  std::vector<std::size_t> votes(n * k, 0);
-  std::vector<float> confidence(n * k, 0.0F);
-  for (const auto& member : members_) {
-    const Tensor probs = nn::predict_probabilities(*member, images);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto row = probs.row(i);
-      ++votes[i * k + argmax(row)];
-      for (std::size_t j = 0; j < k; ++j) confidence[i * k + j] += row[j];
-    }
-  }
-  std::vector<int> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // Majority vote; ties (and only ties) fall back to summed confidence.
-    std::size_t best = 0;
-    for (std::size_t j = 1; j < k; ++j) {
-      const std::size_t vj = votes[i * k + j];
-      const std::size_t vb = votes[i * k + best];
-      if (vj > vb || (vj == vb && confidence[i * k + j] > confidence[i * k + best])) {
-        best = j;
-      }
-    }
-    out[i] = static_cast<int>(best);
-  }
-  return out;
+  return nn::predict_ensemble(members_, images);
 }
 
 EnsembleTechnique::EnsembleTechnique(std::vector<models::Arch> members)

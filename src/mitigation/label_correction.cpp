@@ -21,7 +21,8 @@ std::unique_ptr<nn::Network> build_secondary(std::size_t num_classes,
   body->emplace<nn::Dense>(2 * num_classes, hidden, rng);
   body->emplace<nn::Tanh>();
   body->emplace<nn::Dense>(hidden, num_classes, rng);
-  return std::make_unique<nn::Network>("LC-secondary", std::move(body), num_classes);
+  return std::make_unique<nn::Network>("LC-secondary", std::move(body),
+                                       Shape{2 * num_classes}, num_classes);
 }
 
 /// Assembles secondary-model inputs [n, 2K] from primary probabilities and

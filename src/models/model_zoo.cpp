@@ -276,8 +276,9 @@ std::unique_ptr<nn::Network> build_model(Arch arch, const ModelConfig& config,
     case Arch::kResNet50: body = resnet50_body(config, rng); break;
     case Arch::kMobileNet: body = mobilenet_body(config, rng); break;
   }
-  auto net = std::make_unique<nn::Network>(arch_name(arch), std::move(body),
-                                           config.num_classes);
+  auto net = std::make_unique<nn::Network>(
+      arch_name(arch), std::move(body),
+      Shape{config.in_channels, config.image_size, config.image_size}, config.num_classes);
   TDFM_CHECK(net->weight_layer_count() == expected_weight_layers(arch),
              "architecture depth does not match Table III");
   return net;

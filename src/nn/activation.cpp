@@ -9,7 +9,6 @@ Tensor ReLU::forward(const Tensor& input, bool training) {
   const float* __restrict__ in = input.data();
   float* __restrict__ o = out.data();
   if (!training) {
-    mask_ = Tensor();  // eval mode keeps no backward state
     for (std::size_t i = 0; i < input.numel(); ++i) o[i] = in[i] > 0.0F ? in[i] : 0.0F;
     return out;
   }
@@ -39,11 +38,7 @@ Tensor Tanh::forward(const Tensor& input, bool training) {
   const float* __restrict__ in = input.data();
   float* __restrict__ o = out.data();
   for (std::size_t i = 0; i < input.numel(); ++i) o[i] = std::tanh(in[i]);
-  if (training) {
-    output_ = out;
-  } else {
-    output_ = Tensor();  // eval mode keeps no backward state
-  }
+  if (training) output_ = out;
   return out;
 }
 

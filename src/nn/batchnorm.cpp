@@ -30,10 +30,7 @@ Tensor BatchNorm2D::forward(const Tensor& input, bool training) {
   Tensor out(input.shape());
 
   if (!training) {
-    // Eval mode keeps no backward state (and drops a stale training cache).
-    normalized_ = Tensor();
-    batch_inv_std_ = Tensor();
-    relu_mask_ = {};
+    // Eval mode normalizes with the running statistics and writes no member.
     for (std::size_t c = 0; c < channels_; ++c) {
       const float inv_std = 1.0F / std::sqrt(running_var_[c] + eps_);
       const float g = gamma_.value[c], b = beta_.value[c], m = running_mean_[c];

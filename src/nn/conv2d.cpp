@@ -125,30 +125,23 @@ Tensor Conv2D::forward(const Tensor& input, bool training) {
   const std::size_t out_stride = out_c_ * pc;
   count_conv(batch, 2 * out_c_ * pr * pc);
   // Only a training-mode forward keeps the input (copied into the cache's
-  // storage) and the fused ReLU's mask for backward; an eval-mode one also
-  // drops stale copies, so backward cannot pair with the wrong batch.  On
-  // the in-place path with pad > 0 the cache holds the images' bordered
-  // copies instead, which backward reads too; a cache of the same shape is
-  // reused, since its border cells still hold +0.0f.  An eval forward
+  // storage) and the fused ReLU's mask for backward.  On the in-place path
+  // with pad > 0 the cache holds the images' bordered copies instead, which
+  // backward reads too; a cache of the same shape is reused, since its
+  // border cells still hold +0.0f.  An eval forward writes no member: it
   // borders into chunk-local scratch.
   const bool keep = training && !quantized_;
   const bool in_place = in_place_.has_value() && !quantized_;
   const bool bordered = in_place && geom_.pad > 0;
   const std::size_t cached_stride = bordered ? in_place_->bordered_floats() : in_stride;
-  if (!keep) {
-    cached_input_ = Tensor();
-  } else if (!bordered) {
+  if (keep && !bordered) {
     cached_input_ = input;
-  } else {
+  } else if (keep) {
     const Shape shape{batch, geom_.in_c, geom_.in_h + 2 * geom_.pad,
                       geom_.in_w + 2 * geom_.pad};
     if (cached_input_.shape() != shape) cached_input_ = Tensor(shape);
   }
-  if (keep && relu_) {
-    relu_mask_.resize(out.numel());
-  } else {
-    relu_mask_ = {};
-  }
+  if (keep && relu_) relu_mask_.resize(out.numel());
   const std::size_t group = group_images(pc);
   const std::size_t groups = (batch + group - 1) / group;
   // A group's GEMM output C[out_c, images*pc] is its output planes side by
@@ -372,11 +365,7 @@ Tensor DepthwiseConv2D::forward(const Tensor& input, bool training) {
   // Quantized mode is fake-quant (weights already rounded through q8_0 at
   // quantize time), so the same fp32 loop serves both paths.  Only a
   // training-mode forward keeps the input for backward.
-  if (training && !quantized_) {
-    cached_input_ = input;
-  } else {
-    cached_input_ = Tensor();
-  }
+  if (training && !quantized_) cached_input_ = input;
   const std::size_t batch = input.dim(0);
   const std::size_t pr = geom_.patch_rows();  // k*k (single channel)
   const std::size_t pc = geom_.patch_cols();

@@ -22,18 +22,13 @@ Tensor Dense::forward(const Tensor& input, bool training) {
   const std::size_t batch = input.dim(0);
   Tensor out(Shape{batch, out_});
   if (quantized_) {
-    // int8 path: quantize the activations row-wise into the layer-local
-    // scratch (safe: one in-flight batch per layer), then block-dot against
+    // int8 path: quantize the activations row-wise, then block-dot against
     // the quantized weight rows.  No activation cache — backward is gone.
-    kernels::quantize_rows_q8(input.data(), batch, in_, qinput_);
-    gemm_q8_nt(qinput_, qweight_, out.data());
+    const kernels::Q8Matrix qinput = kernels::quantize_rows_q8(input.data(), batch, in_);
+    gemm_q8_nt(qinput, qweight_, out.data());
   } else {
     // Only a training-mode forward keeps the input for backward.
-    if (training) {
-      cached_input_ = input;
-    } else {
-      cached_input_ = Tensor();
-    }
+    if (training) cached_input_ = input;
     // out[B, out] = input[B, in] * W[out, in]^T
     gemm_nt(batch, out_, in_, input.data(), weight_.value.data(), out.data());
   }

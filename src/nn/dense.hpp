@@ -39,8 +39,6 @@ class Dense final : public Layer {
                          ///< the weight gradient; empty otherwise
   bool quantized_ = false;
   kernels::Q8Matrix qweight_;  ///< [out, in] q8_0 rows after quantization
-  kernels::Q8Matrix qinput_;   ///< per-batch activation scratch (one
-                               ///< in-flight batch per layer, see Layer doc)
 };
 
 }  // namespace tdfm::nn

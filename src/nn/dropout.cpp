@@ -3,7 +3,6 @@
 namespace tdfm::nn {
 
 Tensor Dropout::forward(const Tensor& input, bool training) {
-  last_training_ = training;
   if (!training || p_ == 0.0F) return input;
   mask_ = Tensor(input.shape());
   Tensor out(input.shape());
@@ -17,8 +16,9 @@ Tensor Dropout::forward(const Tensor& input, bool training) {
 }
 
 Tensor Dropout::backward(const Tensor& grad_output) {
-  if (!last_training_ || p_ == 0.0F) return grad_output;
-  TDFM_CHECK(grad_output.numel() == mask_.numel(), "Dropout backward mismatch");
+  if (p_ == 0.0F) return grad_output;
+  TDFM_CHECK(grad_output.shape() == mask_.shape(),
+             "Dropout: backward without a training-mode forward of this shape");
   Tensor grad(grad_output.shape());
   for (std::size_t i = 0; i < grad.numel(); ++i) {
     grad[i] = grad_output[i] * mask_[i];

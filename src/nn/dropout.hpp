@@ -24,8 +24,7 @@ class Dropout final : public Layer {
  private:
   float p_;
   Rng rng_;
-  Tensor mask_;          ///< scaled keep mask from the last training forward
-  bool last_training_ = false;
+  Tensor mask_;  ///< scaled keep mask from the last training forward
 };
 
 }  // namespace tdfm::nn

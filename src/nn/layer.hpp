@@ -32,10 +32,10 @@ struct Parameter {
   void zero_grad() { grad.zero(); }
 };
 
-/// Base class of all layers.  Layers are stateful: forward() caches
-/// activations for the subsequent backward() on the same batch.  A layer is
-/// therefore used by at most one in-flight batch at a time (the trainer
-/// guarantees this).
+/// Base class of all layers.  A training-mode forward() caches activations
+/// for the subsequent backward() on the same batch, so one training batch is
+/// in flight per layer (the trainer guarantees this).  An eval-mode forward
+/// reads the layer and writes none of its members.
 class Layer {
  public:
   virtual ~Layer() = default;
@@ -44,11 +44,13 @@ class Layer {
   Layer& operator=(const Layer&) = delete;
 
   /// Computes the layer output.  `training` toggles train-time behaviour
-  /// (dropout masks, batch-norm batch statistics).
+  /// (dropout masks, batch-norm batch statistics) and the caching above.
+  /// Any number of threads may run eval-mode forwards on one layer at once;
+  /// a training forward runs alone and pairs with its backward.
   virtual Tensor forward(const Tensor& input, bool training) = 0;
 
   /// Computes d(loss)/d(input) from d(loss)/d(output) and accumulates
-  /// parameter gradients.  Must be called after forward() on the same batch.
+  /// parameter gradients.  Must follow a training-mode forward() on the batch.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
   /// Tells the layer that nothing reads the input gradient backward()

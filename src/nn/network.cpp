@@ -2,6 +2,18 @@
 
 namespace tdfm::nn {
 
+Tensor Network::logits(const Tensor& batch, bool training) {
+  const std::vector<std::size_t>& dims = batch.shape().dims();
+  if (dims.empty() || Shape(std::vector(dims.begin() + 1, dims.end())) != sample_shape_) {
+    throw ShapeError(name_ + " takes batches of " + sample_shape_.to_string() +
+                     " samples, got " + batch.shape().to_string());
+  }
+  Tensor out = body_->forward(batch, training);
+  TDFM_CHECK(out.rank() == 2 && out.dim(1) == num_classes_,
+             "network must emit [B, num_classes] logits");
+  return out;
+}
+
 void Network::copy_weights_from(Network& other) {
   auto dst = parameters();
   auto src = other.parameters();

@@ -10,23 +10,23 @@
 
 namespace tdfm::nn {
 
-/// A classification network: a Sequential body whose output is a
-/// [B, num_classes] logit matrix (softmax lives in the loss functions).
+/// A classification network: a Sequential body mapping [B, sample_shape...]
+/// batches to a [B, num_classes] logit matrix (softmax lives in the losses).
 class Network {
  public:
-  Network(std::string name, std::unique_ptr<Sequential> body, std::size_t num_classes)
-      : name_(std::move(name)), body_(std::move(body)), num_classes_(num_classes) {
+  Network(std::string name, std::unique_ptr<Sequential> body, Shape sample_shape,
+          std::size_t num_classes)
+      : name_(std::move(name)), body_(std::move(body)),
+        sample_shape_(std::move(sample_shape)), num_classes_(num_classes) {
     TDFM_CHECK(body_ != nullptr, "network body must not be null");
     body_->discard_input_grad();  // backward() never reads it
   }
 
   /// Forward pass to logits; `training` toggles dropout/batch-norm mode.
-  [[nodiscard]] Tensor logits(const Tensor& batch, bool training) {
-    Tensor out = body_->forward(batch, training);
-    TDFM_CHECK(out.rank() == 2 && out.dim(1) == num_classes_,
-               "network must emit [B, num_classes] logits");
-    return out;
-  }
+  /// Throws ShapeError when `batch` is not [B, sample_shape()...].  An
+  /// eval-mode pass writes nothing (Layer::forward), so threads may share
+  /// one network for inference.
+  [[nodiscard]] Tensor logits(const Tensor& batch, bool training);
 
   /// Backpropagates d(loss)/d(logits), accumulating parameter gradients.
   void backward(const Tensor& grad_logits) { (void)body_->backward(grad_logits); }
@@ -42,6 +42,8 @@ class Network {
   }
 
   [[nodiscard]] const std::string& name() const { return name_; }
+  /// The shape of one input sample, e.g. [C, H, W] for the model zoo.
+  [[nodiscard]] const Shape& sample_shape() const { return sample_shape_; }
   [[nodiscard]] std::size_t num_classes() const { return num_classes_; }
 
   [[nodiscard]] std::size_t parameter_count() { return body_->parameter_count(); }
@@ -68,7 +70,8 @@ class Network {
 
   /// Copies all parameter values and the state (running statistics) from
   /// another structurally identical network (same factory, same seed
-  /// discipline).  Used by serving replicas and the pipeline's twins.
+  /// discipline).  Used by serve::ServedModel's served copies and the
+  /// pipeline's twins.
   void copy_weights_from(Network& other);
 
   /// Flattens all parameter values, then the state, into one vector
@@ -84,6 +87,7 @@ class Network {
  private:
   std::string name_;
   std::unique_ptr<Sequential> body_;
+  Shape sample_shape_;
   std::size_t num_classes_;
   bool quantized_ = false;
 };

@@ -47,8 +47,10 @@ Tensor MaxPool2D::forward(const Tensor& input, bool training) {
   const std::size_t oh = h / k_, ow = w / k_;
   Tensor out(Shape{batch, ch, oh, ow});
   // Only a training-mode forward records the argmax for backward.
-  input_shape_ = training ? input.shape() : Shape{};
-  argmax_.assign(training ? out.numel() : 0, 0);
+  if (training) {
+    input_shape_ = input.shape();
+    argmax_.assign(out.numel(), 0);
+  }
   for (std::size_t p = 0; p < batch * ch; ++p) {
     const float* plane = input.data() + p * h * w;
     float* o = out.data() + p * oh * ow;
@@ -77,13 +79,13 @@ Tensor MaxPool2D::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor AvgPool2D::forward(const Tensor& input, bool /*training*/) {
+Tensor AvgPool2D::forward(const Tensor& input, bool training) {
   TDFM_CHECK(input.rank() == 4, "AvgPool2D expects [B, C, H, W]");
   const std::size_t batch = input.dim(0), ch = input.dim(1);
   const std::size_t h = input.dim(2), w = input.dim(3);
   TDFM_CHECK(h % k_ == 0 && w % k_ == 0, "pooling needs divisible spatial dims");
   const std::size_t oh = h / k_, ow = w / k_;
-  input_shape_ = input.shape();
+  if (training) input_shape_ = input.shape();
   Tensor out(Shape{batch, ch, oh, ow});
   const float inv = 1.0F / static_cast<float>(k_ * k_);
   std::size_t oi = 0;
@@ -107,6 +109,7 @@ Tensor AvgPool2D::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor AvgPool2D::backward(const Tensor& grad_output) {
+  TDFM_CHECK(input_shape_.rank() == 4, "AvgPool2D: backward without a training-mode forward");
   Tensor grad(input_shape_);
   const std::size_t batch = input_shape_[0], ch = input_shape_[1];
   const std::size_t h = input_shape_[2], w = input_shape_[3];
@@ -131,9 +134,9 @@ Tensor AvgPool2D::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor GlobalAvgPool::forward(const Tensor& input, bool /*training*/) {
+Tensor GlobalAvgPool::forward(const Tensor& input, bool training) {
   TDFM_CHECK(input.rank() == 4, "GlobalAvgPool expects [B, C, H, W]");
-  input_shape_ = input.shape();
+  if (training) input_shape_ = input.shape();
   const std::size_t batch = input.dim(0), ch = input.dim(1);
   const std::size_t plane = input.dim(2) * input.dim(3);
   Tensor out(Shape{batch, ch});
@@ -150,6 +153,8 @@ Tensor GlobalAvgPool::forward(const Tensor& input, bool /*training*/) {
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_output) {
+  TDFM_CHECK(input_shape_.rank() == 4,
+             "GlobalAvgPool: backward without a training-mode forward");
   Tensor grad(input_shape_);
   const std::size_t batch = input_shape_[0], ch = input_shape_[1];
   const std::size_t plane = input_shape_[2] * input_shape_[3];

@@ -39,7 +39,7 @@ class AvgPool2D final : public Layer {
 
  private:
   std::size_t k_;
-  Shape input_shape_;
+  Shape input_shape_;  ///< from the last training-mode forward
 };
 
 /// Global average pooling: [B, C, H, W] -> [B, C].  Used by the ResNet and
@@ -51,7 +51,7 @@ class GlobalAvgPool final : public Layer {
   [[nodiscard]] std::string name() const override { return "GlobalAvgPool"; }
 
  private:
-  Shape input_shape_;
+  Shape input_shape_;  ///< from the last training-mode forward
 };
 
 }  // namespace tdfm::nn

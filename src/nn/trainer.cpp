@@ -153,4 +153,36 @@ Tensor predict_probabilities(Network& net, const Tensor& images, float temperatu
   return out;
 }
 
+std::vector<int> predict_ensemble(std::span<const std::unique_ptr<Network>> members,
+                                  const Tensor& images) {
+  TDFM_CHECK(!members.empty(), "ensemble needs at least one member");
+  const std::size_t n = images.dim(0);
+  const std::size_t k = members.front()->num_classes();
+  std::vector<std::size_t> votes(n * k, 0);
+  std::vector<float> confidence(n * k, 0.0F);
+  for (const auto& member : members) {
+    TDFM_CHECK(member->num_classes() == k, "ensemble members must agree on the class count");
+    const Tensor probs = predict_probabilities(*member, images);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto row = probs.row(i);
+      ++votes[i * k + argmax(row)];
+      for (std::size_t j = 0; j < k; ++j) confidence[i * k + j] += row[j];
+    }
+  }
+  std::vector<int> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    // Majority vote; ties (and only ties) fall back to summed confidence.
+    std::size_t best = 0;
+    for (std::size_t j = 1; j < k; ++j) {
+      const std::size_t vj = votes[i * k + j];
+      const std::size_t vb = votes[i * k + best];
+      if (vj > vb || (vj == vb && confidence[i * k + j] > confidence[i * k + best])) {
+        best = j;
+      }
+    }
+    out[i] = static_cast<int>(best);
+  }
+  return out;
+}
+
 }  // namespace tdfm::nn

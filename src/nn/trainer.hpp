@@ -10,6 +10,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <span>
 
 #include "core/rng.hpp"
@@ -85,5 +86,12 @@ class Trainer {
 [[nodiscard]] Tensor predict_probabilities(Network& net, const Tensor& images,
                                            float temperature = 1.0F,
                                            std::size_t batch_size = 64);
+
+/// An ensemble's classes: majority vote over the members' argmax classes,
+/// ties (and only ties) broken by summed softmax confidence.  The one vote
+/// of mitigation::EnsembleClassifier and of an ensemble served by
+/// serve::ServedModel.  Members must agree on the class count.
+[[nodiscard]] std::vector<int> predict_ensemble(
+    std::span<const std::unique_ptr<Network>> members, const Tensor& images);
 
 }  // namespace tdfm::nn

@@ -114,7 +114,7 @@ PipelineResult OnlinePipeline::run() {
   Retrainer retrainer(config_.retrain);
   DecisionLog log(config_.decision_log_path);
 
-  serve::ModelRegistry registry(std::max<std::size_t>(1, config_.engine.workers));
+  serve::ModelRegistry registry;
 
   PipelineResult result;
   std::uint64_t live_version = 0;

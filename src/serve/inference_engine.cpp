@@ -1,5 +1,6 @@
 #include "serve/inference_engine.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -13,24 +14,38 @@ namespace tdfm::serve {
 namespace {
 
 const char* kStatusNames[] = {"ok", "rejected_queue_full", "rejected_deadline",
-                              "rejected_shutdown", "rejected_no_model"};
+                              "rejected_shutdown", "rejected_no_model",
+                              "rejected_bad_input"};
 
 double us_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::micro>(to - from).count();
 }
 
-/// Stacks single-sample tensors into one batch tensor (leading batch dim).
-Tensor stack_batch(const std::vector<Request>& batch) {
-  const Shape& sample = batch.front().image.shape();
-  std::vector<std::size_t> dims;
-  dims.reserve(sample.rank() + 1);
-  dims.push_back(batch.size());
-  for (std::size_t d = 0; d < sample.rank(); ++d) dims.push_back(sample[d]);
+/// Answers the requests [first, last) with the engine-side rejection
+/// `status`, counted in `count` and in the metric serve.<status name>.
+void reject(std::vector<Request>::iterator first, std::vector<Request>::iterator last,
+            Status status, std::atomic<std::uint64_t>& count) {
+  const auto n = static_cast<std::uint64_t>(last - first);
+  if (n == 0) return;
+  count.fetch_add(n, std::memory_order_relaxed);
+  if (obs::metrics_enabled()) {
+    obs::Registry::global().counter(std::string("serve.") + status_name(status)).add(n);
+  }
+  for (; first != last; ++first) {
+    Response resp;
+    resp.status = status;
+    first->promise.set_value(resp);
+  }
+}
+
+/// Stacks single-sample tensors of shape `sample` into one batch tensor
+/// (leading batch dim).
+Tensor stack_batch(const std::vector<Request>& batch, const Shape& sample) {
+  std::vector<std::size_t> dims{batch.size()};
+  dims.insert(dims.end(), sample.dims().begin(), sample.dims().end());
   Tensor out{Shape(dims)};
-  const std::size_t row = batch.front().image.numel();
+  const std::size_t row = sample.numel();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    TDFM_CHECK(batch[i].image.shape() == sample,
-               "all requests of a batch must share the sample shape");
     std::memcpy(out.data() + i * row, batch[i].image.data(), row * sizeof(float));
   }
   return out;
@@ -49,14 +64,12 @@ InferenceEngine::InferenceEngine(ModelRegistry& registry, std::string model_name
       handle_(registry.handle(model_name_)),
       queue_(cfg.batching) {
   TDFM_CHECK(config_.workers >= 1, "engine needs at least one worker");
-  TDFM_CHECK(config_.workers <= registry.replica_slots(),
-             "registry has fewer replica slots than engine workers");
   TDFM_CHECK(!config_.use_thread_pool || config_.workers == 1,
              "use_thread_pool requires a single worker (for_range is "
              "single-job across external threads)");
   workers_.reserve(config_.workers);
-  for (std::size_t slot = 0; slot < config_.workers; ++slot) {
-    workers_.emplace_back([this, slot] { worker_loop(slot); });
+  for (std::size_t i = 0; i < config_.workers; ++i) {
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -106,10 +119,11 @@ EngineStats InferenceEngine::stats() const {
   s.rejected_capacity = queue_.rejected_capacity();
   s.rejected_deadline = queue_.rejected_deadline();
   s.rejected_no_model = rejected_no_model_.load(std::memory_order_relaxed);
+  s.rejected_bad_input = rejected_bad_input_.load(std::memory_order_relaxed);
   return s;
 }
 
-void InferenceEngine::worker_loop(std::size_t slot) {
+void InferenceEngine::worker_loop() {
   // Multi-worker engines run their forwards inline: N single-batch forwards
   // on N workers are the parallelism, and the shared for_range scheduler is
   // single-job / non-reentrant across external threads.  A single-worker
@@ -126,18 +140,21 @@ void InferenceEngine::worker_loop(std::size_t slot) {
     std::shared_ptr<ServedModel> model = handle_.snapshot();
     const Clock::time_point formed = Clock::now();
     if (!model) {
-      rejected_no_model_.fetch_add(batch.size(), std::memory_order_relaxed);
-      for (Request& req : batch) {
-        Response resp;
-        resp.status = Status::kRejectedNoModel;
-        req.promise.set_value(resp);
-      }
+      reject(batch.begin(), batch.end(), Status::kRejectedNoModel, rejected_no_model_);
       continue;
     }
+    // A malformed image is answered here, before stacking; the batch's
+    // other requests are served.
+    const Shape& sample = model->sample_shape();
+    const auto bad = std::stable_partition(
+        batch.begin(), batch.end(), [&](const Request& r) { return r.image.shape() == sample; });
+    reject(bad, batch.end(), Status::kRejectedBadInput, rejected_bad_input_);
+    batch.erase(bad, batch.end());
+    if (batch.empty()) continue;
 
     obs::Span span("serve:batch");
-    const Tensor input = stack_batch(batch);
-    const std::vector<int> classes = model->predict(input, slot);
+    const Tensor input = stack_batch(batch, sample);
+    const std::vector<int> classes = model->predict(input);
     const double compute_us = span.stop() * 1e6;
 
     batches_.fetch_add(1, std::memory_order_relaxed);

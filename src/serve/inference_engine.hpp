@@ -2,12 +2,13 @@
 // registry's current model version.
 //
 // Each of the N workers loops: pop a micro-batch, snapshot the logical
-// model's current version (one atomic load — the hot-swap point), stack the
-// requests into one [B, ...] tensor, run a single forward pass on the
-// worker's own replica slot, and resolve every request's future.  Because
-// the snapshot is taken once per batch, a batch is never served by a
-// partially-swapped model, and because each worker owns replica slot i of
-// every version exclusively, no two threads ever touch the same network.
+// model's current version (one atomic load — the hot-swap point), answer
+// the requests whose image is not the version's sample shape with
+// kRejectedBadInput, stack the rest into one [B, ...] tensor, run a single
+// forward pass through the version's networks, and resolve every request's
+// future.  Because the snapshot is taken once per batch, a batch is never
+// served by a partially-swapped model.  All workers share the version's
+// networks: an eval-mode forward writes no layer member.
 //
 // Workers mark themselves ThreadPool::InlineScope: the shared pool's
 // for_range is single-job, and N independent single-batch forwards are
@@ -17,7 +18,7 @@
 // Observability (all under the standard obs gates):
 //   counters    serve.requests, serve.batches, serve.rejected_capacity,
 //               serve.rejected_deadline, serve.rejected_shutdown,
-//               serve.rejected_no_model
+//               serve.rejected_no_model, serve.rejected_bad_input
 //   histograms  serve.queue_wait_us, serve.compute_us (µs exponential
 //               buckets), serve.batch_size (linear buckets)
 //   gauge       serve.queue_depth (sampled at batch formation)
@@ -35,7 +36,7 @@
 namespace tdfm::serve {
 
 struct EngineConfig {
-  std::size_t workers = 2;       ///< worker threads (each needs a replica slot)
+  std::size_t workers = 2;       ///< worker threads
   BatchingConfig batching;
   /// Deadline applied by submit(image) relative to admission; 0 = none.
   std::uint64_t default_deadline_us = 0;
@@ -47,7 +48,7 @@ struct EngineConfig {
   /// only with workers == 1 (the pool's for_range is single-job), and the
   /// application must not run other pool work (e.g. training) concurrently.
   /// When false, workers run their forwards inline and parallelism comes
-  /// from serving many batches at once on replicas (inter-batch).
+  /// from serving many batches at once (inter-batch).
   bool use_thread_pool = false;
 };
 
@@ -60,14 +61,14 @@ struct EngineStats {
   std::uint64_t rejected_capacity = 0;
   std::uint64_t rejected_deadline = 0;
   std::uint64_t rejected_no_model = 0;
+  std::uint64_t rejected_bad_input = 0;  ///< image not the model's sample shape
 };
 
 class InferenceEngine {
  public:
   /// Binds to the logical model `model_name` in `registry`.  The model may
   /// be loaded (or hot-swapped) before, during, or after construction; the
-  /// registry must outlive the engine and must have been created with
-  /// replica_slots >= cfg.workers.
+  /// registry must outlive the engine.
   InferenceEngine(ModelRegistry& registry, std::string model_name, EngineConfig cfg);
 
   /// Shuts down and joins the workers (pending requests are rejected).
@@ -77,7 +78,8 @@ class InferenceEngine {
   InferenceEngine& operator=(const InferenceEngine&) = delete;
 
   /// Submits one image ([C,H,W] — no batch dimension) with the config's
-  /// default deadline.  The returned future always resolves.
+  /// default deadline.  The returned future always resolves (with
+  /// kRejectedBadInput if the image is not the served sample shape).
   [[nodiscard]] std::future<Response> submit(Tensor image);
 
   /// Submits with an explicit absolute deadline.
@@ -102,7 +104,7 @@ class InferenceEngine {
   [[nodiscard]] std::size_t queue_depth() const { return queue_.depth(); }
 
  private:
-  void worker_loop(std::size_t slot);
+  void worker_loop();
 
   EngineConfig config_;
   std::string model_name_;
@@ -114,6 +116,7 @@ class InferenceEngine {
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> rejected_no_model_{0};
+  std::atomic<std::uint64_t> rejected_bad_input_{0};
 };
 
 }  // namespace tdfm::serve

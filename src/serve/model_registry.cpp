@@ -5,75 +5,40 @@
 #include "nn/checkpoint.hpp"
 #include "nn/trainer.hpp"
 #include "obs/flight_recorder.hpp"
-#include "tensor/tensor_ops.hpp"
 
 namespace tdfm::serve {
 
 ServedModel::ServedModel(std::string name, std::uint64_t version,
-                         std::vector<MemberInit> members, std::size_t slots,
-                         bool quantize)
-    : name_(std::move(name)), version_(version), slots_(slots),
-      quantized_(quantize) {
+                         std::vector<MemberInit> members, bool quantize)
+    : name_(std::move(name)), version_(version) {
   TDFM_CHECK(!members.empty(), "a served model needs at least one member");
-  TDFM_CHECK(slots_ >= 1, "a served model needs at least one replica slot");
-  num_classes_ = members.front().fitted->num_classes();
-  replicas_.reserve(members.size());
-  // The replica init RNG is irrelevant to behaviour (every weight is
-  // overwritten by the copy below) but a fixed seed keeps construction
-  // deterministic anyway.
+  members_.reserve(members.size());
+  // The init RNG is irrelevant to behaviour (every weight is overwritten by
+  // the copy below) but a fixed seed keeps construction deterministic anyway.
   Rng rng(0x5e7f3u + version_);
   for (MemberInit& member : members) {
     TDFM_CHECK(member.factory != nullptr && member.fitted != nullptr,
                "member needs a factory and a fitted network");
-    TDFM_CHECK(member.fitted->num_classes() == num_classes_,
+    const nn::Network& first = *members.front().fitted;
+    TDFM_CHECK(member.fitted->num_classes() == first.num_classes(),
                "ensemble members must agree on the class count");
-    std::vector<std::unique_ptr<nn::Network>> slots_for_member;
-    slots_for_member.reserve(slots_);
-    for (std::size_t s = 0; s < slots_; ++s) {
-      std::unique_ptr<nn::Network> replica = member.factory(rng);
-      replica->copy_weights_from(*member.fitted);
-      // Quantize after the fp32 copy: the checkpoint stays fp32 on disk and
-      // only the in-memory replica shrinks.
-      if (quantize) replica->quantize_for_inference();
-      slots_for_member.push_back(std::move(replica));
+    if (member.fitted->sample_shape() != first.sample_shape()) {
+      throw ShapeError("ensemble members must agree on the sample shape: " +
+                       first.sample_shape().to_string() + " vs " +
+                       member.fitted->sample_shape().to_string());
     }
-    replicas_.push_back(std::move(slots_for_member));
+    std::unique_ptr<nn::Network> served = member.factory(rng);
+    served->copy_weights_from(*member.fitted);
+    // Quantize after the fp32 copy: the checkpoint stays fp32 on disk and
+    // only the in-memory network shrinks.
+    if (quantize) served->quantize_for_inference();
+    members_.push_back(std::move(served));
   }
 }
 
-std::vector<int> ServedModel::predict(const Tensor& batch, std::size_t slot) {
-  TDFM_CHECK(slot < slots_, "replica slot out of range");
-  const std::size_t n = batch.dim(0);
-  if (replicas_.size() == 1) {
-    return nn::predict_batch(*replicas_[0][slot], batch);
-  }
-  // Ensemble: majority vote over member argmaxes, ties (and only ties)
-  // broken by summed softmax confidence — the EnsembleClassifier rule.
-  const std::size_t k = num_classes_;
-  std::vector<std::size_t> votes(n * k, 0);
-  std::vector<float> confidence(n * k, 0.0F);
-  for (auto& member : replicas_) {
-    const Tensor probs =
-        softmax_rows(member[slot]->logits(batch, /*training=*/false), 1.0F);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto row = probs.row(i);
-      ++votes[i * k + argmax(row)];
-      for (std::size_t j = 0; j < k; ++j) confidence[i * k + j] += row[j];
-    }
-  }
-  std::vector<int> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::size_t best = 0;
-    for (std::size_t j = 1; j < k; ++j) {
-      const std::size_t vj = votes[i * k + j];
-      const std::size_t vb = votes[i * k + best];
-      if (vj > vb || (vj == vb && confidence[i * k + j] > confidence[i * k + best])) {
-        best = j;
-      }
-    }
-    out[i] = static_cast<int>(best);
-  }
-  return out;
+std::vector<int> ServedModel::predict(const Tensor& batch, std::size_t /*slot*/) {
+  if (members_.size() == 1) return nn::predict_batch(*members_.front(), batch);
+  return nn::predict_ensemble(members_, batch);
 }
 
 // The publication slot.  Semantically this is std::atomic<std::shared_ptr>,
@@ -123,9 +88,7 @@ std::shared_ptr<ServedModel> ModelRegistry::Handle::snapshot() const {
   return entry_->current.load();
 }
 
-ModelRegistry::ModelRegistry(std::size_t replica_slots) : slots_(replica_slots) {
-  TDFM_CHECK(slots_ >= 1, "registry needs at least one replica slot");
-}
+ModelRegistry::ModelRegistry(std::size_t /*workers*/) {}
 
 ModelRegistry::~ModelRegistry() = default;
 
@@ -142,8 +105,7 @@ std::uint64_t ModelRegistry::publish(const std::string& name,
                                      bool quantize) {
   Handle::Entry& e = entry(name);
   const std::uint64_t version = e.next_version.fetch_add(1, std::memory_order_relaxed);
-  auto model = std::make_shared<ServedModel>(name, version, std::move(members), slots_,
-                                             quantize);
+  auto model = std::make_shared<ServedModel>(name, version, std::move(members), quantize);
   // One slot store publishes the fully-constructed version; readers that
   // loaded the previous shared_ptr keep it alive until their batch is done.
   e.current.store(std::move(model));

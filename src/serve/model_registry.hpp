@@ -1,12 +1,11 @@
 // Named + versioned model store with wait-light hot swap.
 //
 // A *logical model* is what clients address by name; a *ServedModel* is one
-// immutable-by-convention version of it: every member network replicated
-// once per worker slot.  Replication exists because a forward pass mutates
-// layer caches, so one nn::Network cannot run two batches concurrently —
-// instead worker slot `s` owns replica `s` of every member exclusively, and
-// N workers serve N batches in parallel with zero synchronisation on the
-// networks themselves.
+// immutable-by-convention version of it: one network per member, built once
+// per version.  An eval-mode forward writes no layer member
+// (nn::Layer::forward), so every engine worker predicts through the same
+// networks, N workers serving N batches in parallel with no synchronisation
+// on the networks themselves.
 //
 // Hot swap: each name maps to a stable Entry whose current version lives in
 // a one-word-spinlock-guarded shared_ptr slot (atomic<shared_ptr> in spirit;
@@ -20,10 +19,10 @@
 // Versions loaded from v2 checkpoints are self-describing (the header names
 // the zoo architecture and geometry); v1 count-only checkpoints need the
 // architecture supplied explicitly.  An ensemble is several member
-// checkpoints behind one name — served with the same majority-vote +
-// summed-confidence-tiebreak rule as mitigation::EnsembleClassifier, so the
-// paper's highest-inference-cost technique is exercised end to end on the
-// request path.
+// checkpoints behind one name — served through nn::predict_ensemble, the
+// vote of mitigation::EnsembleClassifier, so the paper's
+// highest-inference-cost technique is exercised end to end on the request
+// path.
 #pragma once
 
 #include <atomic>
@@ -40,52 +39,49 @@
 namespace tdfm::serve {
 
 /// One member of a logical model: the fitted network plus a factory that
-/// builds structurally identical instances (for per-slot replicas).
+/// builds a structurally identical instance to serve.
 struct MemberInit {
   nn::NetworkFactory factory;
   std::unique_ptr<nn::Network> fitted;
 };
 
-/// One immutable version of a logical model, replicated per worker slot.
+/// One immutable version of a logical model: one network per member.
 class ServedModel {
  public:
-  /// Builds `slots` replicas of every member and copies the fitted weights
-  /// into each (including slot 0, so every slot is bit-identical by
-  /// construction).  The fitted networks are only read.  With `quantize`
-  /// each replica is converted to q8_0 inference form after the copy, so
-  /// every per-worker replica holds ~4x less weight storage.
+  /// Builds one instance of every member with its factory and copies the
+  /// fitted weights into it, so the version holds none of the fitted
+  /// network's training caches; the fitted networks are only read.  With
+  /// `quantize` each instance is converted to q8_0 inference form after the
+  /// copy (~4x less weight storage).  Members must agree on the class count
+  /// and the sample shape.
   ServedModel(std::string name, std::uint64_t version,
-              std::vector<MemberInit> members, std::size_t slots,
-              bool quantize = false);
+              std::vector<MemberInit> members, bool quantize = false);
 
-  /// Classifies one micro-batch (leading dim = batch) using slot `slot`'s
-  /// replicas.  Each slot must be driven by at most one thread at a time —
-  /// the InferenceEngine maps worker i to slot i.  Single member: argmax.
-  /// Multiple members: majority vote, ties broken by summed softmax
-  /// confidence (mirrors mitigation::EnsembleClassifier).
-  [[nodiscard]] std::vector<int> predict(const Tensor& batch, std::size_t slot);
+  /// Classifies one micro-batch (leading dim = batch).  Any number of
+  /// threads may call it at once.  Single member: argmax.  Multiple
+  /// members: nn::predict_ensemble's vote, as mitigation::EnsembleClassifier.
+  /// The slot is ignored; it remains because perfbench still passes one.
+  [[nodiscard]] std::vector<int> predict(const Tensor& batch, std::size_t /*slot*/ = 0);
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] std::uint64_t version() const { return version_; }
-  [[nodiscard]] std::size_t num_members() const { return replicas_.size(); }
-  [[nodiscard]] std::size_t slots() const { return slots_; }
-  [[nodiscard]] std::size_t num_classes() const { return num_classes_; }
-  [[nodiscard]] bool quantized() const { return quantized_; }
+  [[nodiscard]] std::size_t num_members() const { return members_.size(); }
+  [[nodiscard]] std::size_t num_classes() const { return members_.front()->num_classes(); }
+  /// The shape of one request's image, shared by every member.
+  [[nodiscard]] const Shape& sample_shape() const { return members_.front()->sample_shape(); }
+  [[nodiscard]] bool quantized() const { return members_.front()->quantized(); }
 
  private:
   std::string name_;
   std::uint64_t version_;
-  std::size_t slots_;
-  std::size_t num_classes_;
-  bool quantized_ = false;
-  /// replicas_[member][slot]; slot s is owned by worker s while serving.
-  std::vector<std::vector<std::unique_ptr<nn::Network>>> replicas_;
+  std::vector<std::unique_ptr<nn::Network>> members_;
 };
 
 class ModelRegistry {
  public:
-  /// `replica_slots` = number of concurrent workers a version must support.
-  explicit ModelRegistry(std::size_t replica_slots = 1);
+  /// The worker count is ignored (every worker shares a version's networks);
+  /// it remains because perfbench still passes one.
+  explicit ModelRegistry(std::size_t /*workers*/ = 1);
   ~ModelRegistry();  // out of line: Handle::Entry is complete only in the .cpp
 
   ModelRegistry(const ModelRegistry&) = delete;
@@ -108,7 +104,8 @@ class ModelRegistry {
 
   /// Publishes a new version built from already-fitted members.  Returns
   /// the version number (1-based, monotone per name).  `quantize` converts
-  /// every replica to q8_0 inference form (here and in every load below).
+  /// the served networks to q8_0 inference form (here and in every load
+  /// below).
   std::uint64_t install(const std::string& name, std::vector<MemberInit> members,
                         bool quantize = false);
 
@@ -137,14 +134,12 @@ class ModelRegistry {
   [[nodiscard]] std::shared_ptr<ServedModel> current(const std::string& name) const;
 
   [[nodiscard]] std::vector<std::string> names() const;
-  [[nodiscard]] std::size_t replica_slots() const { return slots_; }
 
  private:
   Handle::Entry& entry(const std::string& name);
   std::uint64_t publish(const std::string& name, std::vector<MemberInit> members,
                         bool quantize);
 
-  std::size_t slots_;
   mutable std::mutex mu_;  ///< guards the name map only, never the hot path
   std::map<std::string, std::unique_ptr<Handle::Entry>> entries_;
 };

@@ -6,7 +6,7 @@
 // request rode in, the model version that answered).  Every submitted
 // request is answered exactly once — accepted requests with a prediction,
 // everything else with an explicit rejection status (admission control,
-// deadline, shutdown).  Nothing is silently dropped.
+// deadline, shutdown, no model, bad input).  Nothing is silently dropped.
 #pragma once
 
 #include <chrono>
@@ -28,6 +28,7 @@ enum class Status {
   kRejectedDeadline,   ///< deadline passed before a worker picked it up
   kRejectedShutdown,   ///< engine shut down while the request was queued
   kRejectedNoModel,    ///< logical model has no loaded version
+  kRejectedBadInput,   ///< image is not the served version's sample shape
 };
 
 [[nodiscard]] const char* status_name(Status status);

@@ -6,10 +6,10 @@
 //
 // Quick tour (see DESIGN.md "Serving layer"):
 //
-//   serve::ModelRegistry registry(/*replica_slots=*/2);
+//   serve::ModelRegistry registry;
 //   registry.load("signs", "signs.ckpt");          // v2 self-describing file
 //   serve::EngineConfig cfg;
-//   cfg.workers = 2;
+//   cfg.workers = 2;                               // both share one network
 //   cfg.batching.max_batch_size = 8;
 //   serve::InferenceEngine engine(registry, "signs", cfg);
 //   auto future = engine.submit(image);            // [C,H,W] tensor

@@ -1,7 +1,7 @@
 // q8_0 quantization: numeric bounds, the non-finite rule, the quantized
 // network path (pinned logits at every kernel table), and the serving-layer
-// integration (quantized replicas answer like a locally quantized network,
-// bit for bit).
+// integration (a served quantized network answers like a locally quantized
+// one, bit for bit).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -216,7 +216,7 @@ TEST(Quant, QuantizedNetworkRefusesBackward) {
   EXPECT_THROW(net->backward(grad), InvariantError);
 }
 
-TEST(Quant, ServedQuantizedReplicaMatchesLocalQuantization) {
+TEST(Quant, ServedQuantizedNetworkMatchesLocalQuantization) {
   models::ModelConfig cfg;
   cfg.width = 4;
   Rng rng(31);
@@ -225,7 +225,7 @@ TEST(Quant, ServedQuantizedReplicaMatchesLocalQuantization) {
   nn::save_checkpoint(*net, path,
                       models::checkpoint_meta(models::Arch::kConvNet, cfg));
 
-  serve::ModelRegistry registry(1);
+  serve::ModelRegistry registry;
   registry.load("m", path, /*quantize=*/true);
   const std::shared_ptr<serve::ServedModel> served = registry.current("m");
   ASSERT_NE(served, nullptr);
@@ -233,7 +233,7 @@ TEST(Quant, ServedQuantizedReplicaMatchesLocalQuantization) {
 
   Rng data_rng(32);
   const Tensor batch = random_batch(cfg, 6, data_rng);
-  const std::vector<int> served_preds = served->predict(batch, 0);
+  const std::vector<int> served_preds = served->predict(batch);
 
   // Local ground truth: same checkpoint, quantized in-process.  q8 forward
   // is bit-deterministic, so predictions must agree exactly.

@@ -144,7 +144,7 @@ std::unique_ptr<nn::Network> constant_network(std::vector<float> logits) {
   auto& dense = body->emplace<nn::Dense>(1, k, rng);
   dense.parameters()[0]->value.zero();  // weight
   for (std::size_t i = 0; i < k; ++i) dense.parameters()[1]->value[i] = logits[i];
-  return std::make_unique<nn::Network>("const", std::move(body), k);
+  return std::make_unique<nn::Network>("const", std::move(body), Shape{1}, k);
 }
 
 TEST(EnsembleClassifier, MajorityVoteWins) {

@@ -71,6 +71,17 @@ TEST_P(AllArchitectures, SingleChannelInputSupported) {
   EXPECT_EQ(net->logits(batch, false).shape(), (Shape{2, 2}));
 }
 
+TEST_P(AllArchitectures, RejectsBatchesOfAnotherSampleShape) {
+  // The network records the [C, H, W] it was built for, and names any other
+  // batch shape before a layer sees it.
+  Rng rng(6);
+  auto net = build_model(GetParam(), tiny_config(2, /*channels=*/1), rng);
+  EXPECT_EQ(net->sample_shape(), (Shape{1, 16, 16}));
+  for (const Shape& shape : {Shape{2, 3, 16, 16}, Shape{2, 1, 8, 8}, Shape{1, 16, 16}}) {
+    EXPECT_THROW((void)net->logits(Tensor(shape), false), ShapeError) << shape.to_string();
+  }
+}
+
 TEST_P(AllArchitectures, IndependentInitsDiffer) {
   Rng rng(5);
   auto a = build_model(GetParam(), tiny_config(), rng);

@@ -20,7 +20,7 @@ std::unique_ptr<Network> make_net(Rng& rng) {
   body->emplace<Dense>(4, 8, rng);
   body->emplace<ReLU>();
   body->emplace<Dense>(8, 3, rng);
-  return std::make_unique<Network>("toy", std::move(body), 3);
+  return std::make_unique<Network>("toy", std::move(body), Shape{4}, 3);
 }
 
 struct TempFile {
@@ -140,7 +140,7 @@ TEST(Checkpoint, V2WrongScalarCountRejected) {
   auto a = make_net(rng);
   auto body = std::make_unique<Sequential>();
   body->emplace<Dense>(4, 2, rng);
-  Network small("small", std::move(body), 2);
+  Network small("small", std::move(body), Shape{4}, 2);
   const TempFile file("ckpt_v2_mismatch.bin");
   save_checkpoint(*a, file.path, toy_meta());
   EXPECT_THROW(load_checkpoint(small, file.path), Error);
@@ -267,7 +267,7 @@ TEST(Checkpoint, WrongArchitectureRejected) {
   auto a = make_net(rng);
   auto body = std::make_unique<Sequential>();
   body->emplace<Dense>(4, 2, rng);  // structurally different
-  Network small("small", std::move(body), 2);
+  Network small("small", std::move(body), Shape{4}, 2);
   const TempFile file("ckpt_mismatch.bin");
   save_checkpoint(*a, file.path);
   EXPECT_THROW(load_checkpoint(small, file.path), Error);

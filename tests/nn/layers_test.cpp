@@ -21,23 +21,43 @@ namespace {
 
 using test::random_tensor;
 
-/// An eval-mode forward computes the training-mode output bit for bit but
-/// keeps no backward state: it also drops the cache a training-mode forward
-/// left, so a later backward throws instead of pairing with a stale batch.
-void expect_eval_forward_keeps_no_state(Layer& layer, const Tensor& x,
-                                        const Tensor& grad) {
-  const Tensor y_train = layer.forward(x, true);
-  EXPECT_NO_THROW((void)layer.backward(grad));
-  const Tensor y_eval = layer.forward(x, false);
-  ASSERT_EQ(y_eval.shape(), y_train.shape());
-  EXPECT_EQ(0, std::memcmp(y_eval.data(), y_train.data(),
-                           y_eval.numel() * sizeof(float)));
-  EXPECT_THROW((void)layer.backward(grad), InvariantError);
-}
-
 bool same_bits(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.data(), b.data(), a.numel() * sizeof(float)) == 0;
+}
+
+/// An eval-mode forward writes no layer member (Layer::forward), so it keeps
+/// no backward state of its own and leaves a training forward's alone:
+///   - run between a training forward on `x` and its backward, an eval
+///     forward on another batch size moves no bit of the input gradient or
+///     the parameter gradients;
+///   - a layer that ran only eval forwards still refuses backward;
+///   - the eval output is the training output bit for bit.
+/// `make` builds the layer, identically on every call.
+template <typename MakeLayer>
+void expect_eval_forward_keeps_no_state(MakeLayer make, const Tensor& x,
+                                        const Tensor& grad) {
+  auto reference = make();
+  const Tensor y_train = reference.forward(x, true);
+  const Tensor gx_want = reference.backward(grad);
+
+  auto layer = make();
+  (void)layer.forward(x, true);
+  std::vector<std::size_t> dims = x.shape().dims();
+  ++dims[0];
+  Rng rng(99);
+  (void)layer.forward(random_tensor(Shape(dims), rng), false);
+  EXPECT_TRUE(same_bits(layer.backward(grad), gx_want));
+  ASSERT_EQ(layer.parameters().size(), reference.parameters().size());
+  for (std::size_t i = 0; i < layer.parameters().size(); ++i) {
+    EXPECT_TRUE(same_bits(layer.parameters()[i]->grad, reference.parameters()[i]->grad))
+        << "parameter " << i;
+  }
+  EXPECT_TRUE(same_bits(layer.forward(x, false), y_train));
+
+  auto eval_only = make();
+  (void)eval_only.forward(x, false);
+  EXPECT_THROW((void)eval_only.backward(grad), InvariantError);
 }
 
 TEST(Dense, OutputShapeAndBias) {
@@ -310,54 +330,64 @@ TEST(BatchNorm, InferenceUsesRunningStats) {
 
 TEST(Dense, EvalForwardKeepsNoBackwardState) {
   Rng rng(320);
-  Dense layer(6, 3, rng);
-  expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{4, 6}, rng),
-                                     random_tensor(Shape{4, 3}, rng));
+  expect_eval_forward_keeps_no_state(
+      [] {
+        Rng init(320);
+        return Dense(6, 3, init);
+      },
+      random_tensor(Shape{4, 6}, rng), random_tensor(Shape{4, 3}, rng));
 }
 
 TEST(Conv2D, EvalForwardKeepsNoBackwardState) {
-  // The fused ReLU's mask goes with the cached input.
+  // The fused ReLU's mask goes with the cached input.  The 8x8 plane takes
+  // the in-place path, whose training cache is the bordered input.
   for (const bool fuse_relu : {false, true}) {
-    Rng rng(321);
-    Conv2D layer(2, 3, 5, 5, 3, 1, 1, rng, fuse_relu);
-    expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{2, 2, 5, 5}, rng),
-                                       random_tensor(Shape{2, 3, 5, 5}, rng));
+    for (const std::size_t hw : {5, 8}) {
+      Rng rng(321);
+      expect_eval_forward_keeps_no_state(
+          [&] {
+            Rng init(321);
+            return Conv2D(2, 3, hw, hw, 3, 1, 1, init, fuse_relu);
+          },
+          random_tensor(Shape{2, 2, hw, hw}, rng), random_tensor(Shape{2, 3, hw, hw}, rng));
+    }
   }
 }
 
 TEST(DepthwiseConv2D, EvalForwardKeepsNoBackwardState) {
   Rng rng(322);
-  DepthwiseConv2D layer(3, 6, 6, 3, 2, 1, rng);
-  expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{2, 3, 6, 6}, rng),
-                                     random_tensor(Shape{2, 3, 3, 3}, rng));
+  expect_eval_forward_keeps_no_state(
+      [] {
+        Rng init(322);
+        return DepthwiseConv2D(3, 6, 6, 3, 2, 1, init);
+      },
+      random_tensor(Shape{2, 3, 6, 6}, rng), random_tensor(Shape{2, 3, 3, 3}, rng));
 }
 
 TEST(ReLU, EvalForwardKeepsNoBackwardState) {
   Rng rng(323);
-  ReLU layer;
-  expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{3, 7}, rng),
+  expect_eval_forward_keeps_no_state([] { return ReLU(); }, random_tensor(Shape{3, 7}, rng),
                                      random_tensor(Shape{3, 7}, rng));
 }
 
 TEST(Tanh, EvalForwardKeepsNoBackwardState) {
   Rng rng(324);
-  Tanh layer;
-  expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{3, 7}, rng),
+  expect_eval_forward_keeps_no_state([] { return Tanh(); }, random_tensor(Shape{3, 7}, rng),
                                      random_tensor(Shape{3, 7}, rng));
 }
 
 TEST(MaxPool, EvalForwardKeepsNoBackwardState) {
   Rng rng(325);
-  MaxPool2D layer(2);
-  expect_eval_forward_keeps_no_state(layer, random_tensor(Shape{2, 3, 4, 4}, rng),
+  expect_eval_forward_keeps_no_state([] { return MaxPool2D(2); },
+                                     random_tensor(Shape{2, 3, 4, 4}, rng),
                                      random_tensor(Shape{2, 3, 2, 2}, rng));
 }
 
 TEST(BatchNorm, EvalForwardKeepsNoBackwardState) {
   // Eval mode normalises with the running statistics, so its output is not
-  // the training-mode one; it must still drop the training cache.  Before,
-  // backward after an eval forward on a larger batch read past the smaller
-  // training batch's cache.  The fused ReLU's mask goes with it.
+  // the training-mode one.  A backward shaped like a larger eval batch must
+  // still throw: backward pairs only with the training forward (it once read
+  // past the smaller training batch's cache).  The fused ReLU's mask too.
   for (const bool fuse_relu : {false, true}) {
     Rng rng(326);
     BatchNorm2D bn(3, fuse_relu);

@@ -81,7 +81,7 @@ TEST(SGDVsAdam, BothReduceSimpleLoss) {
     body->emplace<Dense>(4, 8, rng);
     body->emplace<ReLU>();
     body->emplace<Dense>(8, 3, rng);
-    Network net("toy", std::move(body), 3);
+    Network net("toy", std::move(body), Shape{4}, 3);
 
     // Linearly separable toy data: class = argmax of first 3 inputs.
     const std::size_t n = 48;
@@ -120,7 +120,7 @@ TEST(Trainer, EpochLossWeightsPartialBatchBySampleCount) {
   Rng rng(410);
   auto body = std::make_unique<Sequential>();
   body->emplace<Dense>(2, 2, rng);
-  Network net("toy", std::move(body), 2);
+  Network net("toy", std::move(body), Shape{2}, 2);
   const Tensor images = random_tensor(Shape{5, 2}, rng);
   TrainOptions opts;
   opts.epochs = 1;
@@ -149,7 +149,7 @@ TEST(Trainer, AdamHonoursLrDecay) {
     body->emplace<Dense>(3, 4, rng);
     body->emplace<ReLU>();
     body->emplace<Dense>(4, 2, rng);
-    Network net("toy", std::move(body), 2);
+    Network net("toy", std::move(body), Shape{3}, 2);
     Rng data_rng(5);
     const Tensor images = random_tensor(Shape{12, 3}, data_rng);
     const Tensor targets = one_hot(std::vector<int>(12, 1), 2);
@@ -196,7 +196,7 @@ TEST(Trainer, EpochHookRunsEveryEpoch) {
   Rng rng(401);
   auto body = std::make_unique<Sequential>();
   body->emplace<Dense>(2, 2, rng);
-  Network net("toy", std::move(body), 2);
+  Network net("toy", std::move(body), Shape{2}, 2);
   const Tensor images = random_tensor(Shape{8, 2}, rng);
   const Tensor targets = one_hot(std::vector<int>(8, 0), 2);
   CrossEntropyLoss ce;
@@ -224,7 +224,7 @@ TEST(Trainer, DeterministicGivenSameSeeds) {
     body->emplace<Dense>(3, 4, rng);
     body->emplace<ReLU>();
     body->emplace<Dense>(4, 2, rng);
-    Network net("toy", std::move(body), 2);
+    Network net("toy", std::move(body), Shape{3}, 2);
     Rng data_rng(7);
     const Tensor images = test::random_tensor(Shape{16, 3}, data_rng);
     const Tensor targets = one_hot(std::vector<int>(16, 1), 2);
@@ -332,7 +332,7 @@ TEST(Network, SaveLoadRoundTrip) {
     auto body = std::make_unique<Sequential>();
     body->emplace<Dense>(3, 4, r);
     body->emplace<Dense>(4, 2, r);
-    return std::make_unique<Network>("toy", std::move(body), 2);
+    return std::make_unique<Network>("toy", std::move(body), Shape{3}, 2);
   };
   auto a = make(rng);
   auto b = make(rng);  // different init
@@ -348,10 +348,10 @@ TEST(Network, CopyWeightsRequiresSameStructure) {
   Rng rng(404);
   auto body1 = std::make_unique<Sequential>();
   body1->emplace<Dense>(3, 2, rng);
-  Network a("a", std::move(body1), 2);
+  Network a("a", std::move(body1), Shape{3}, 2);
   auto body2 = std::make_unique<Sequential>();
   body2->emplace<Dense>(4, 2, rng);
-  Network b("b", std::move(body2), 2);
+  Network b("b", std::move(body2), Shape{4}, 2);
   EXPECT_THROW(a.copy_weights_from(b), InvariantError);
 }
 
@@ -359,7 +359,7 @@ TEST(Network, PredictClassesMatchesArgmax) {
   Rng rng(405);
   auto body = std::make_unique<Sequential>();
   body->emplace<Dense>(2, 3, rng);
-  Network net("toy", std::move(body), 3);
+  Network net("toy", std::move(body), Shape{2}, 3);
   const Tensor images = random_tensor(Shape{10, 2}, rng);
   const auto preds = predict_classes(net, images, /*batch_size=*/3);
   const Tensor logits = net.logits(images, false);
@@ -372,7 +372,7 @@ TEST(Network, PredictProbabilitiesRowsSumToOne) {
   Rng rng(406);
   auto body = std::make_unique<Sequential>();
   body->emplace<Dense>(2, 4, rng);
-  Network net("toy", std::move(body), 4);
+  Network net("toy", std::move(body), Shape{2}, 4);
   const Tensor images = random_tensor(Shape{7, 2}, rng);
   const Tensor probs = predict_probabilities(net, images, 2.0F, 3);
   EXPECT_EQ(probs.shape(), (Shape{7, 4}));

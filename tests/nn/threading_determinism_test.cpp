@@ -11,6 +11,8 @@
 // must hold regardless of physical cores).
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "core/thread_pool.hpp"
@@ -198,6 +200,49 @@ TEST(ThreadingDeterminism, TrainedConvNetIsBitIdenticalAcrossThreadCounts) {
 // running statistics.
 TEST(ThreadingDeterminism, TrainedMobileNetIsBitIdenticalAcrossThreadCounts) {
   expect_training_thread_invariant(models::Arch::kMobileNet);
+}
+
+// One network serves any number of threads: an eval-mode forward writes no
+// layer member (nn::Layer::forward), which is what lets every serving worker
+// predict through one network per version.  For every zoo architecture,
+// fp32 and q8, after one training step has filled every training cache,
+// four threads run eval forwards on one network at once; each result must
+// be the serial logits bit for bit.  Under -DTDFM_SANITIZE=thread this is
+// the race detector for that contract.
+TEST(ThreadingDeterminism, ThreadsShareOneNetworkForEvalForwards) {
+  const models::ModelConfig cfg{3, 16, 5, 2};
+  Rng data_rng(41);
+  Tensor train_batch(Shape{4, 3, 16, 16});
+  Tensor batch(Shape{3, 3, 16, 16});
+  uniform_init(train_batch, -1.0F, 1.0F, data_rng);
+  uniform_init(batch, -1.0F, 1.0F, data_rng);
+  for (const models::Arch arch : models::all_architectures()) {
+    for (const bool q8 : {false, true}) {
+      Rng rng(43);
+      auto net = models::build_model(arch, cfg, rng);
+      const Tensor logits = net->logits(train_batch, /*training=*/true);
+      net->backward(logits);
+      if (q8) net->quantize_for_inference();
+      const Tensor serial = net->logits(batch, /*training=*/false);
+
+      constexpr std::size_t kThreads = 4;
+      std::vector<Tensor> results(kThreads);
+      std::vector<std::thread> threads;
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+          const core::ThreadPool::InlineScope inline_scope;
+          results[t] = net->logits(batch, /*training=*/false);
+        });
+      }
+      for (auto& thread : threads) thread.join();
+      for (std::size_t t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(results[t].shape(), serial.shape());
+        EXPECT_EQ(0, std::memcmp(results[t].data(), serial.data(),
+                                 serial.numel() * sizeof(float)))
+            << models::arch_name(arch) << (q8 ? " q8" : " fp32") << " thread " << t;
+      }
+    }
+  }
 }
 
 // Ensemble members train concurrently; forked RNG streams and per-member

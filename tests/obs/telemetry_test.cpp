@@ -32,7 +32,7 @@ TEST(Telemetry, TrainerEmitsOneRecordPerEpochWithMonotoneTime) {
   body->emplace<nn::Dense>(4, 8, rng);
   body->emplace<nn::ReLU>();
   body->emplace<nn::Dense>(8, 3, rng);
-  nn::Network net("toy", std::move(body), 3);
+  nn::Network net("toy", std::move(body), Shape{4}, 3);
 
   const std::size_t n = 48;
   const Tensor images = random_tensor(Shape{n, 4}, rng);

@@ -1,18 +1,21 @@
 // InferenceEngine end-to-end: correct predictions, micro-batching under
-// burst load, admission control, and the hot-swap-under-load guarantee (no
-// request dropped, no request served by a partially-swapped model).  This
-// suite is a primary TSan target (ctest -L serve on a TDFM_SANITIZE=thread
-// build).
+// burst load, admission control, malformed requests, workers sharing one
+// zoo network, and the hot-swap-under-load guarantee (no request dropped,
+// no request served by a partially-swapped model).  This suite is a primary
+// TSan target (ctest -L serve on a TDFM_SANITIZE=thread build).
 #include "serve/inference_engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "core/thread_pool.hpp"
+#include "nn/checkpoint.hpp"
 #include "nn/dense.hpp"
 #include "nn/trainer.hpp"
 #include "obs/metrics.hpp"
@@ -30,7 +33,7 @@ nn::NetworkFactory toy_factory() {
   return [](Rng& rng) {
     auto body = std::make_unique<nn::Sequential>();
     body->emplace<nn::Dense>(4, kClasses, rng);
-    return std::make_unique<nn::Network>("toy", std::move(body), kClasses);
+    return std::make_unique<nn::Network>("toy", std::move(body), Shape{4}, kClasses);
   };
 }
 
@@ -65,8 +68,42 @@ std::uint64_t install_version(ModelRegistry& registry, const std::string& name,
   return registry.install(name, std::move(members));
 }
 
+/// A v2 checkpoint of a randomly initialised zoo ConvNet ([3, 16, 16]
+/// samples, 5 classes, width 2), removed with the object.
+struct ConvNetCheckpoint {
+  models::ModelConfig config{3, 16, 5, 2};
+  std::unique_ptr<nn::Network> net;
+  std::string path;
+
+  explicit ConvNetCheckpoint(const char* name)
+      : path(std::string(::testing::TempDir()) + name) {
+    Rng rng(21);
+    net = models::build_model(models::Arch::kConvNet, config, rng);
+    nn::save_checkpoint(*net, path, models::checkpoint_meta(models::Arch::kConvNet, config));
+  }
+  ~ConvNetCheckpoint() { std::remove(path.c_str()); }
+  ConvNetCheckpoint(const ConvNetCheckpoint&) = delete;
+  ConvNetCheckpoint& operator=(const ConvNetCheckpoint&) = delete;
+};
+
+Tensor random_image(Shape shape, std::uint64_t seed) {
+  Rng rng(seed);
+  Tensor image(std::move(shape));
+  for (float& v : image.flat()) v = rng.uniform(-1.0F, 1.0F);
+  return image;
+}
+
+/// What `net` predicts for one image on its own (a batch of one).
+int offline_class(nn::Network& net, const Tensor& image) {
+  std::vector<std::size_t> dims{1};
+  dims.insert(dims.end(), image.shape().dims().begin(), image.shape().dims().end());
+  Tensor batch{Shape(dims)};
+  std::copy(image.flat().begin(), image.flat().end(), batch.flat().begin());
+  return nn::predict_batch(net, batch)[0];
+}
+
 TEST(InferenceEngine, ServesCorrectPredictions) {
-  ModelRegistry registry(/*replica_slots=*/2);
+  ModelRegistry registry;
   ASSERT_EQ(install_version(registry, "toy", 1), 1U);
   EngineConfig cfg;
   cfg.workers = 2;
@@ -91,7 +128,7 @@ TEST(InferenceEngine, ServesCorrectPredictions) {
 }
 
 TEST(InferenceEngine, BurstLoadFormsMicroBatches) {
-  ModelRegistry registry(/*replica_slots=*/1);
+  ModelRegistry registry;
   install_version(registry, "toy", 1);
   EngineConfig cfg;
   cfg.workers = 1;
@@ -117,7 +154,7 @@ TEST(InferenceEngine, SingleWorkerCanFanBatchesAcrossThePool) {
   const std::size_t prev_threads = core::ThreadPool::global_threads();
   core::ThreadPool::set_global_threads(2);
   {
-    ModelRegistry registry(/*replica_slots=*/1);
+    ModelRegistry registry;
     install_version(registry, "toy", 1);
     EngineConfig cfg;
     cfg.workers = 1;
@@ -138,11 +175,88 @@ TEST(InferenceEngine, SingleWorkerCanFanBatchesAcrossThePool) {
 }
 
 TEST(InferenceEngine, PoolModeRequiresSingleWorker) {
-  ModelRegistry registry(/*replica_slots=*/2);
+  ModelRegistry registry;
   EngineConfig cfg;
   cfg.workers = 2;
   cfg.use_thread_pool = true;
   EXPECT_THROW(InferenceEngine(registry, "toy", cfg), Error);
+}
+
+// Several workers predict through one ConvNet per version, fp32 and q8: a
+// burst of distinct images must get the classes each image gets offline.
+TEST(InferenceEngine, WorkersShareOneZooNetworkAndAnswerOfflineClasses) {
+  const ConvNetCheckpoint ckpt("engine_shared_convnet.ckpt");
+  for (const bool quantize : {false, true}) {
+    Rng rng(1);
+    auto offline = models::build_model(models::Arch::kConvNet, ckpt.config, rng);
+    offline->copy_weights_from(*ckpt.net);
+    if (quantize) offline->quantize_for_inference();
+    ModelRegistry registry;
+    (void)registry.load("convnet", ckpt.path, quantize);
+    EngineConfig cfg;
+    cfg.workers = 3;
+    cfg.batching.max_batch_size = 4;
+    cfg.batching.max_queue_delay_us = 200;
+    InferenceEngine engine(registry, "convnet", cfg);
+
+    constexpr std::size_t kRequests = 48;
+    std::vector<Tensor> images;
+    std::vector<std::future<Response>> futures;
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      images.push_back(random_image(Shape{3, 16, 16}, 500 + i));
+      futures.push_back(engine.submit(images.back()));
+    }
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const Response r = futures[i].get();
+      ASSERT_EQ(r.status, Status::kOk) << status_name(r.status);
+      EXPECT_EQ(r.predicted_class, offline_class(*offline, images[i]))
+          << "request " << i << (quantize ? " q8" : " fp32");
+    }
+    EXPECT_EQ(engine.stats().served, kRequests);
+  }
+}
+
+// A request whose image is not the served version's sample shape is
+// answered with kRejectedBadInput; the rest of its micro-batch is served and
+// the engine keeps serving.
+TEST(InferenceEngine, MalformedRequestsAreRejectedAndTheBatchServed) {
+  const ConvNetCheckpoint ckpt("engine_malformed_convnet.ckpt");
+  ModelRegistry registry;
+  (void)registry.load("convnet", ckpt.path);
+  EngineConfig cfg;
+  cfg.workers = 2;
+  cfg.batching.max_batch_size = 4;               // the four requests below
+  cfg.batching.max_queue_delay_us = 60'000'000;  // form one micro-batch
+  InferenceEngine engine(registry, "convnet", cfg);
+
+  const Tensor good_a = random_image(Shape{3, 16, 16}, 1);
+  const Tensor good_b = random_image(Shape{3, 16, 16}, 2);
+  std::vector<std::future<Response>> futures;
+  futures.push_back(engine.submit(good_a));
+  futures.push_back(engine.submit(random_image(Shape{1, 16, 16}, 3)));  // channels
+  futures.push_back(engine.submit(random_image(Shape{3, 256}, 4)));     // rank
+  futures.push_back(engine.submit(good_b));
+  const Response a = futures[0].get();
+  const Response b = futures[3].get();
+  EXPECT_EQ(futures[1].get().status, Status::kRejectedBadInput);
+  EXPECT_EQ(futures[2].get().status, Status::kRejectedBadInput);
+  ASSERT_EQ(a.status, Status::kOk) << status_name(a.status);
+  ASSERT_EQ(b.status, Status::kOk) << status_name(b.status);
+  EXPECT_EQ(a.predicted_class, offline_class(*ckpt.net, good_a));
+  EXPECT_EQ(b.predicted_class, offline_class(*ckpt.net, good_b));
+  EXPECT_EQ(a.batch_size, 2U);
+  EXPECT_EQ(b.batch_size, 2U);
+
+  // The engine keeps serving; drain() flushes the later request's partial
+  // batch.
+  std::future<Response> later = engine.submit(good_a);
+  engine.drain();
+  const Response c = later.get();
+  ASSERT_EQ(c.status, Status::kOk) << status_name(c.status);
+  EXPECT_EQ(c.predicted_class, a.predicted_class);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.rejected_bad_input, 2U);
+  EXPECT_EQ(stats.served, 3U);
 }
 
 TEST(InferenceEngine, NoModelLoadedRejectsCleanly) {
@@ -248,7 +362,7 @@ TEST(InferenceEngine, HotSwapUnderLoadDropsNothingAndNeverMixesVersions) {
     expected[v] = expected_class(v);
   }
 
-  ModelRegistry registry(/*replica_slots=*/3);
+  ModelRegistry registry;
   install_version(registry, "toy", 1);
   EngineConfig cfg;
   cfg.workers = 3;

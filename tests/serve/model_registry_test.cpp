@@ -1,6 +1,7 @@
 // ModelRegistry: checkpoint-driven instantiation (v2 self-describing, v1
-// with explicit arch), metadata mismatch rejection, version bumping, and
-// replica consistency across slots, batch-norm running statistics included.
+// with explicit arch), metadata mismatch rejection, version bumping, served
+// networks that predict as the fitted ones (batch-norm running statistics
+// included), and ensembles that vote as mitigation::EnsembleClassifier.
 #include "serve/model_registry.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <fstream>
 
 #include "data/synthetic.hpp"
+#include "mitigation/ensemble.hpp"
 #include "nn/checkpoint.hpp"
 #include "nn/trainer.hpp"
 
@@ -46,7 +48,7 @@ TEST(ModelRegistry, LoadsSelfDescribingV2Checkpoint) {
   nn::save_checkpoint(*fitted, file.path,
                       models::checkpoint_meta(models::Arch::kConvNet, config));
 
-  ModelRegistry registry(/*replica_slots=*/2);
+  ModelRegistry registry;
   // No out-of-band configuration: the header names the architecture.
   EXPECT_EQ(registry.load("m", file.path), 1U);
   auto model = registry.current("m");
@@ -55,16 +57,14 @@ TEST(ModelRegistry, LoadsSelfDescribingV2Checkpoint) {
   EXPECT_EQ(model->num_members(), 1U);
   EXPECT_EQ(model->num_classes(), 5U);
 
-  // Every replica slot predicts exactly what the fitted network predicts.
+  // The served network predicts exactly what the fitted network predicts.
   const Tensor batch = test_batch(6);
-  const std::vector<int> want = nn::predict_batch(*fitted, batch);
-  EXPECT_EQ(model->predict(batch, 0), want);
-  EXPECT_EQ(model->predict(batch, 1), want);
+  EXPECT_EQ(model->predict(batch), nn::predict_batch(*fitted, batch));
 }
 
 TEST(ModelRegistry, ServesBatchNormModelsWithTheirRunningStatistics) {
-  // Every replica is a weight copy, so a batch-norm member must carry its
-  // running statistics into each slot, and so must a checkpoint load.
+  // The served network is a weight copy, so a batch-norm member must carry
+  // its running statistics into it, and so must a checkpoint load.
   const models::ModelConfig config = small_config();
   Rng rng(13);
   auto fitted = models::build_model(models::Arch::kResNet18, config, rng);
@@ -76,7 +76,7 @@ TEST(ModelRegistry, ServesBatchNormModelsWithTheirRunningStatistics) {
   const Tensor batch = test_batch(16);
   const std::vector<int> want = nn::predict_batch(*fitted, batch);
   // The same parameters with freshly built statistics predict other classes
-  // for this batch, so a replica that lost them fails the checks below.
+  // for this batch, so a served copy that lost them fails the checks below.
   std::vector<float> parameters;
   for (const nn::Parameter* p : fitted->parameters()) {
     parameters.insert(parameters.end(), p->value.flat().begin(), p->value.flat().end());
@@ -89,7 +89,7 @@ TEST(ModelRegistry, ServesBatchNormModelsWithTheirRunningStatistics) {
   nn::save_checkpoint(*fitted, file.path,
                       models::checkpoint_meta(models::Arch::kResNet18, config));
 
-  ModelRegistry registry(/*replica_slots=*/2);
+  ModelRegistry registry;
   std::vector<MemberInit> members;
   members.push_back({models::make_factory(models::Arch::kResNet18, config), std::move(fitted)});
   registry.install("installed", std::move(members));
@@ -97,8 +97,7 @@ TEST(ModelRegistry, ServesBatchNormModelsWithTheirRunningStatistics) {
   for (const char* name : {"installed", "loaded"}) {
     auto model = registry.current(name);
     ASSERT_NE(model, nullptr);
-    EXPECT_EQ(model->predict(batch, 0), want) << name;
-    EXPECT_EQ(model->predict(batch, 1), want) << name;
+    EXPECT_EQ(model->predict(batch), want) << name;
   }
 }
 
@@ -112,22 +111,20 @@ TEST(ModelRegistry, V3QuantizeFlagAutoQuantizesOnLoad) {
   meta.quantize = true;  // the checkpoint says "deploy me in q8_0 form"
   nn::save_checkpoint(*fitted, file.path, meta);
 
-  ModelRegistry registry(/*replica_slots=*/2);
+  ModelRegistry registry;
   // No quantize argument: the self-describing header alone must trigger it.
   EXPECT_EQ(registry.load("m", file.path), 1U);
   auto model = registry.current("m");
   ASSERT_NE(model, nullptr);
   EXPECT_TRUE(model->quantized());
 
-  // The replicas serve the *quantized* predictions: identical across slots,
-  // and matching a locally quantized copy of the same weights.
+  // The served network gives the *quantized* predictions: those of a locally
+  // quantized copy of the same weights.
   auto twin = models::build_model(models::Arch::kConvNet, config, rng);
   twin->copy_weights_from(*fitted);
   twin->quantize_for_inference();
   const Tensor batch = test_batch(6);
-  const std::vector<int> want = nn::predict_batch(*twin, batch);
-  EXPECT_EQ(model->predict(batch, 0), want);
-  EXPECT_EQ(model->predict(batch, 1), want);
+  EXPECT_EQ(model->predict(batch), nn::predict_batch(*twin, batch));
 }
 
 TEST(ModelRegistry, V1CheckpointNeedsExplicitArch) {
@@ -143,7 +140,7 @@ TEST(ModelRegistry, V1CheckpointNeedsExplicitArch) {
   auto model = registry.current("m");
   ASSERT_NE(model, nullptr);
   const Tensor batch = test_batch(3);
-  EXPECT_EQ(model->predict(batch, 0), nn::predict_batch(*fitted, batch));
+  EXPECT_EQ(model->predict(batch), nn::predict_batch(*fitted, batch));
 }
 
 TEST(ModelRegistry, TamperedArchMetadataRejected) {
@@ -198,34 +195,57 @@ TEST(ModelRegistry, HotSwapBumpsVersionAndKeepsOldSnapshotAlive) {
   ASSERT_NE(old_snapshot, nullptr);
   EXPECT_EQ(old_snapshot->version(), 1U);
   const Tensor batch = test_batch(4);
-  EXPECT_EQ(old_snapshot->predict(batch, 0), nn::predict_batch(*v1_net, batch));
-  EXPECT_EQ(new_snapshot->predict(batch, 0), nn::predict_batch(*v2_net, batch));
+  EXPECT_EQ(old_snapshot->predict(batch), nn::predict_batch(*v1_net, batch));
+  EXPECT_EQ(new_snapshot->predict(batch), nn::predict_batch(*v2_net, batch));
 }
 
 TEST(ModelRegistry, EnsembleCheckpointsServeAsOneLogicalModel) {
+  // Three members, so votes split 2:1 and 1:1:1; the served ensemble must
+  // answer exactly what mitigation::EnsembleClassifier answers over the
+  // same networks.
   const models::ModelConfig config = small_config();
   Rng rng(16);
-  auto a = models::build_model(models::Arch::kConvNet, config, rng);
-  auto b = models::build_model(models::Arch::kDeconvNet, config, rng);
-  const TempFile fa("registry_ens_a.ckpt");
-  const TempFile fb("registry_ens_b.ckpt");
-  nn::save_checkpoint(*a, fa.path,
-                      models::checkpoint_meta(models::Arch::kConvNet, config));
-  nn::save_checkpoint(*b, fb.path,
-                      models::checkpoint_meta(models::Arch::kDeconvNet, config));
+  const models::Arch archs[] = {models::Arch::kConvNet, models::Arch::kDeconvNet,
+                                models::Arch::kMobileNet};
+  const TempFile files[] = {TempFile("registry_ens_a.ckpt"),
+                            TempFile("registry_ens_b.ckpt"),
+                            TempFile("registry_ens_c.ckpt")};
+  std::vector<std::unique_ptr<nn::Network>> members;
+  std::vector<std::string> paths;
+  for (std::size_t m = 0; m < 3; ++m) {
+    members.push_back(models::build_model(archs[m], config, rng));
+    nn::save_checkpoint(*members.back(), files[m].path,
+                        models::checkpoint_meta(archs[m], config));
+    paths.push_back(files[m].path);
+  }
+  mitigation::EnsembleClassifier offline(std::move(members));
 
   ModelRegistry registry;
-  EXPECT_EQ(registry.load_ensemble("ens", {fa.path, fb.path}), 1U);
+  EXPECT_EQ(registry.load_ensemble("ens", paths), 1U);
   auto model = registry.current("ens");
   ASSERT_NE(model, nullptr);
-  EXPECT_EQ(model->num_members(), 2U);
-  const Tensor batch = test_batch(4);
-  const std::vector<int> preds = model->predict(batch, 0);
-  EXPECT_EQ(preds.size(), 4U);
-  for (const int p : preds) {
-    EXPECT_GE(p, 0);
-    EXPECT_LT(p, 5);
-  }
+  EXPECT_EQ(model->num_members(), 3U);
+  const Tensor batch = test_batch(32);
+  EXPECT_EQ(model->predict(batch), offline.predict(batch));
+}
+
+TEST(ModelRegistry, EnsembleMembersMustShareTheSampleShape) {
+  // A 3-channel and a 1-channel member cannot answer one request, so the
+  // version is refused at load instead of failing at its first request.
+  models::ModelConfig gray = small_config();
+  gray.in_channels = 1;
+  Rng rng(18);
+  auto color_net = models::build_model(models::Arch::kConvNet, small_config(), rng);
+  auto gray_net = models::build_model(models::Arch::kConvNet, gray, rng);
+  const TempFile fc("registry_shape_color.ckpt");
+  const TempFile fg("registry_shape_gray.ckpt");
+  nn::save_checkpoint(*color_net, fc.path,
+                      models::checkpoint_meta(models::Arch::kConvNet, small_config()));
+  nn::save_checkpoint(*gray_net, fg.path, models::checkpoint_meta(models::Arch::kConvNet, gray));
+
+  ModelRegistry registry;
+  EXPECT_THROW((void)registry.load_ensemble("ens", {fc.path, fg.path}), ShapeError);
+  EXPECT_EQ(registry.current("ens"), nullptr);
 }
 
 TEST(ModelRegistry, HandleBeforeLoadSeesLaterVersions) {
