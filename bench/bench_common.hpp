@@ -42,6 +42,7 @@ struct BenchSettings {
   std::string out_path;     ///< --out result file ("" = print to stdout)
   std::string json_path;    ///< legacy --json alias for --out
   std::string kernel;       ///< resolved GEMM kernel name (scalar/avx2)
+  int vector_bits = 0;      ///< register width its fp32 GEMMs ran at (kernels.hpp)
 };
 
 /// Parses the common flags; returns false when --help was requested.
@@ -82,6 +83,7 @@ inline bool parse_bench_flags(int argc, char** argv, CliParser& cli,
     kernels::set_active_kernel(*kind);  // throws when the host lacks it
   }
   settings.kernel = kernels::kernel_name(kernels::active_kernel());
+  settings.vector_bits = kernels::vector_bits(kernels::active_kernel());
   return true;
 }
 
@@ -168,6 +170,7 @@ class BenchJson {
         << ", \"seed\": " << settings_.seed
         << ", \"threads\": " << settings_.threads
         << ", \"kernel\": " << obs::json_string(settings_.kernel)
+        << ", \"vector_bits\": " << settings_.vector_bits
         << "},\n  \"metrics\": {";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       out << (i == 0 ? "\n    " : ",\n    ")

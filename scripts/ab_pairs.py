@@ -33,8 +33,11 @@ sets taken in different host phases differ by more than a bound, and the
 probe says which phase a set ran in.  --record LABEL appends the set to
 BENCH_trajectory.json under that label (one record per change, created on
 first use): both revisions, the workload, the seeds, every metric's median
-and quartiles per side with wins and verdict, the probe times, failures and
-digest equality.  A --trace 1 set records the traced layer rows.
+and quartiles per side with wins and verdict, the probe times, failures,
+digest equality and the host's CPU model and whether it has AVX-512F.  Sets
+from hosts of different vector widths do not compare: the avx2 kernel table
+runs its GEMMs 16 lanes wide where AVX-512 is present.  A --trace 1 set
+records the traced layer rows.
 
 The verdict arithmetic, the record and the export are tested by
 scripts/test_ab_pairs.py.
@@ -123,6 +126,27 @@ def probe_ms(steps=PROBE_STEPS):
     return (time.perf_counter() - t0) * 1000.0
 
 
+def host_cpu(cpuinfo="/proc/cpuinfo"):
+    """{"model", "avx512f"} of the first processor listed in `cpuinfo`: the
+    model name with its family and model numbers, and whether its flags
+    hold avx512f (None, and model "unknown", where the file is missing)."""
+    fields = {}
+    try:
+        with open(cpuinfo) as f:
+            for line in f:
+                if not line.strip():
+                    if fields:
+                        break
+                    continue
+                key, _, value = line.partition(":")
+                fields.setdefault(key.strip(), value.strip())
+    except OSError:
+        return {"model": "unknown", "avx512f": None}
+    model = "%s (family %s model %s)" % (fields.get("model name", "unknown"),
+                                         fields.get("cpu family", "?"), fields.get("model", "?"))
+    return {"model": model, "avx512f": "avx512f" in fields.get("flags", "").split()}
+
+
 def summary(values):
     """{"median", "q1", "q3"} of a list of numbers."""
     q1, med, q3 = quartiles(values)
@@ -150,6 +174,7 @@ def record_entry(args, commits, declared, values, probes, failed, digest_rows):
                      if runs},
         "failures": failed,
         "digests_equal": all(base == head for _, base, head in digest_rows),
+        "host": host_cpu(),
     }
 
 
@@ -288,6 +313,8 @@ def main():
     for side in ("base", "head"):
         q1, med, q3 = quartiles(probes[side])
         print("host probe ms, %s runs: %.1f [%.1f, %.1f]" % (side, med, q1, q3))
+    host = host_cpu()
+    print("host: %s, avx512f %s" % (host["model"], host["avx512f"]))
     print("failures: base %d, head %d" % (failed["base"], failed["head"]))
     for seed, base, head in digest_rows:
         for kind in sorted(set(base) | set(head)):

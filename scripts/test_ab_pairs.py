@@ -144,6 +144,7 @@ class Record(unittest.TestCase):
         self.assertEqual(e["failures"], {"base": 0, "head": 1})
         self.assertTrue(e["digests_equal"])
         self.assertFalse(self.entry(head_digest="d2")["digests_equal"])
+        self.assertEqual(e["host"], ab_pairs.host_cpu())
 
     def test_appends_sets_under_one_label_per_change(self):
         with tempfile.TemporaryDirectory() as tmp:
@@ -157,6 +158,35 @@ class Record(unittest.TestCase):
             sets = trajectory["records"][0]["sets"]
             self.assertEqual([s["digests_equal"] for s in sets], [True, False])
             self.assertEqual(os.listdir(tmp), ["BENCH_trajectory.json"])
+
+
+class HostCpu(unittest.TestCase):
+    CPUINFO = ("processor\t: 0\nvendor_id\t: GenuineIntel\ncpu family\t: 6\n"
+               "model\t\t: 207\nmodel name\t: Intel(R) Xeon(R) Processor\n"
+               "flags\t\t: fpu avx2 fma avx512f avx512dq avx512vl\n\n"
+               "processor\t: 1\nmodel name\t: Other\nflags\t\t: fpu\n")
+
+    def parse(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cpuinfo")
+            with open(path, "w") as f:
+                f.write(text)
+            return ab_pairs.host_cpu(path)
+
+    def test_reads_the_first_processors_model_and_avx512f(self):
+        self.assertEqual(self.parse(self.CPUINFO),
+                         {"model": "Intel(R) Xeon(R) Processor (family 6 model 207)",
+                          "avx512f": True})
+
+    def test_a_host_without_avx512f(self):
+        text = self.CPUINFO.replace(" avx512f avx512dq avx512vl", "")
+        self.assertFalse(self.parse(text)["avx512f"])
+        # avx512fp16 alone is not avx512f.
+        self.assertFalse(self.parse(text.replace("fma", "fma avx512fp16"))["avx512f"])
+
+    def test_a_missing_file_is_unknown(self):
+        self.assertEqual(ab_pairs.host_cpu("/nonexistent/cpuinfo"),
+                         {"model": "unknown", "avx512f": None})
 
 
 class Probe(unittest.TestCase):
