@@ -64,6 +64,20 @@ inline bool bit_equal_or_nan(const float* a, const float* b, std::size_t n) {
   return true;
 }
 
+/// Whether this host runs the avx2 table's 16-lane fp32 GEMMs
+/// (gemm_avx512.cpp): AVX2 and FMA plus AVX-512F, DQ and VL, probed here
+/// apart from dispatch so a test can check dispatch's choice against it.
+inline bool host_runs_16_lanes() {
+#if defined(__x86_64__) || defined(__i386__)
+  return kernels::kernel_supported(kernels::KernelKind::kAvx2) &&
+         __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512dq") != 0 &&
+         __builtin_cpu_supports("avx512vl") != 0;
+#else
+  return false;
+#endif
+}
+
 /// Restores the active kernel (and lets a test switch it) RAII-style, so a
 /// failing assertion cannot leak a forced kernel into later tests.
 class KernelGuard {

@@ -1,8 +1,9 @@
-// The parent gemm_tn loops and avx2 gemm_nt loop, verbatim but for names
-// and target attributes.  Like the kernel TUs this file is compiled with
-// -ffp-contract=off, so each product rounds before its addition exactly as
-// in the library; the avx2 copies enable their instruction set per function
-// and are only called where cpuid reports it.
+// The parent gemm_tn loops and avx2 gemm_nn and gemm_nt loops, verbatim but
+// for names, target attributes and the B operand written out.  Like the
+// kernel TUs this file is compiled with -ffp-contract=off, so each product
+// rounds before its addition exactly as in the library; the avx2 copies
+// enable their instruction set per function and are only called where cpuid
+// reports it.
 #include "gemm_parent_loops.hpp"
 
 #include <cstring>
@@ -60,6 +61,58 @@ __attribute__((target("avx2,fma"))) void tn_parent_avx2(
 
 namespace {
 
+__attribute__((target("avx2,fma"))) inline __m256i tail_mask(std::size_t rem) {
+  alignas(32) static const int table[16] = {-1, -1, -1, -1, -1, -1, -1, -1,
+                                            0,  0,  0,  0,  0,  0,  0,  0};
+  return _mm256_loadu_si256(
+      reinterpret_cast<const __m256i*>(table + 8 - rem));
+}
+
+template <int R>
+__attribute__((target("avx2,fma"))) void nn_tile(std::size_t i0, std::size_t n,
+                                                 std::size_t k, const float* a,
+                                                 const float* b, float* c,
+                                                 bool accumulate) {
+  std::size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const float* bcol = b + j;
+    __m256 acc[R];
+    for (int r = 0; r < R; ++r) {
+      acc[r] = accumulate ? _mm256_loadu_ps(c + (i0 + r) * n + j)
+                          : _mm256_setzero_ps();
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      const __m256 bv = _mm256_loadu_ps(bcol + p * n);
+      for (int r = 0; r < R; ++r) {
+        acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + (i0 + r) * k + p),
+                                 bv, acc[r]);
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      _mm256_storeu_ps(c + (i0 + r) * n + j, acc[r]);
+    }
+  }
+  if (j < n) {
+    const float* bcol = b + j;
+    const __m256i mask = tail_mask(n - j);
+    __m256 acc[R];
+    for (int r = 0; r < R; ++r) {
+      acc[r] = accumulate ? _mm256_maskload_ps(c + (i0 + r) * n + j, mask)
+                          : _mm256_setzero_ps();
+    }
+    for (std::size_t p = 0; p < k; ++p) {
+      const __m256 bv = _mm256_maskload_ps(bcol + p * n, mask);
+      for (int r = 0; r < R; ++r) {
+        acc[r] = _mm256_fmadd_ps(_mm256_broadcast_ss(a + (i0 + r) * k + p),
+                                 bv, acc[r]);
+      }
+    }
+    for (int r = 0; r < R; ++r) {
+      _mm256_maskstore_ps(c + (i0 + r) * n + j, mask, acc[r]);
+    }
+  }
+}
+
 __attribute__((target("avx2,fma"))) inline float hsum256(__m256 v) {
   const __m128 lo = _mm256_castps256_ps128(v);
   const __m128 hi = _mm256_extractf128_ps(v, 1);
@@ -104,6 +157,23 @@ __attribute__((target("avx2,fma"))) void nt_cols(const float* arow, const float*
 
 }  // namespace
 
+__attribute__((target("avx2,fma"))) void nn_parent_avx2(
+    std::size_t r0, std::size_t r1, std::size_t /*m*/, std::size_t n,
+    std::size_t k, const float* a, const float* b, float* c, bool accumulate) {
+  std::size_t i = r0;
+  for (; i + 8 <= r1; i += 8) nn_tile<8>(i, n, k, a, b, c, accumulate);
+  switch (r1 - i) {
+    case 7: nn_tile<7>(i, n, k, a, b, c, accumulate); break;
+    case 6: nn_tile<6>(i, n, k, a, b, c, accumulate); break;
+    case 5: nn_tile<5>(i, n, k, a, b, c, accumulate); break;
+    case 4: nn_tile<4>(i, n, k, a, b, c, accumulate); break;
+    case 3: nn_tile<3>(i, n, k, a, b, c, accumulate); break;
+    case 2: nn_tile<2>(i, n, k, a, b, c, accumulate); break;
+    case 1: nn_tile<1>(i, n, k, a, b, c, accumulate); break;
+    default: break;
+  }
+}
+
 __attribute__((target("avx2,fma"))) void nt_parent_avx2(
     std::size_t r0, std::size_t r1, std::size_t /*m*/, std::size_t n,
     std::size_t k, const float* a, const float* b, float* c, bool accumulate) {
@@ -124,6 +194,13 @@ __attribute__((target("avx2,fma"))) void nt_parent_avx2(
 }
 
 #else  // non-x86: the avx2 table forwards to the scalar kernels
+
+void nn_parent_avx2(std::size_t r0, std::size_t r1, std::size_t m,
+                    std::size_t n, std::size_t k, const float* a,
+                    const float* b, float* c, bool accumulate) {
+  kernels::kernel_table(kernels::KernelKind::kScalar).nn(r0, r1, m, n, k, a, b, c,
+                                                          accumulate);
+}
 
 void tn_parent_avx2(std::size_t r0, std::size_t r1, std::size_t m,
                     std::size_t n, std::size_t k, const float* a,
