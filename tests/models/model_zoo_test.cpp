@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <string_view>
+#include <utility>
 
+#include "core/varint.hpp"
 #include "tensor/init.hpp"
 
 namespace tdfm::models {
@@ -176,6 +180,32 @@ TEST(ModelZoo, ParameterCountGrowsWithWidth) {
   auto a = build_model(Arch::kResNet18, narrow, rng);
   auto b = build_model(Arch::kResNet18, wide, rng);
   EXPECT_GT(b->parameter_count(), 2 * a->parameter_count());
+}
+
+TEST(ModelZoo, SavedWeightsMatchPinnedCheckpointLayout) {
+  // FNV-1a 64 of save_weights() -- the checkpoint payload -- of a freshly
+  // built width-8 network, so a checkpoint written by an earlier build loads
+  // into the same weights: the zoo draws its initial weights in the same
+  // order and lists parameters and state in the same order.  Pinned for the
+  // FMA-contraction build the digests were recorded on, as the Train pins.
+#if !defined(__FMA__)
+  GTEST_SKIP() << "digests are pinned for the FMA-contraction build only";
+#endif
+  const std::pair<Arch, std::uint64_t> pinned[] = {
+      {Arch::kConvNet, 0xbd9dc48e4b1a34edULL},  {Arch::kDeconvNet, 0x3b62aa0daea8679eULL},
+      {Arch::kVGG11, 0x2e76d4e943941a31ULL},    {Arch::kVGG16, 0xd47b2c15b6ed74f4ULL},
+      {Arch::kResNet18, 0xf7be72a367d4648dULL}, {Arch::kResNet50, 0xfb8b408739f18536ULL},
+      {Arch::kMobileNet, 0xd1f8f1e152e284c8ULL},
+  };
+  ModelConfig cfg;
+  cfg.width = 8;
+  for (const auto& [arch, want] : pinned) {
+    Rng rng(62);
+    const std::vector<float> weights = build_model(arch, cfg, rng)->save_weights();
+    const std::uint64_t digest = core::fnv1a64(std::string_view(
+        reinterpret_cast<const char*>(weights.data()), weights.size() * sizeof(float)));
+    EXPECT_EQ(digest, want) << arch_name(arch) << std::hex << " digest 0x" << digest;
+  }
 }
 
 }  // namespace

@@ -262,6 +262,10 @@ TEST(Train, ConvNetWeightsMatchPinnedDigestsAtEveryTable) {
   //    then the eval-mode logits of the 64 images, so the running statistics
   //    are pinned too; recorded before the channel-lane depthwise kernels
   //    and BatchNorm2D passes.
+  //  - ResNet18 and ResNet50 (identity and projection skips, the skip sum
+  //    and its gradient) hash their parameters and then the eval-mode
+  //    logits; recorded before the basic and bottleneck blocks became one
+  //    residual layer.
   // The trainer, the optimisers and the layers' own fp32 loops contract into
   // FMA in an -march=native build on an FMA host, where the digests were
   // recorded; elsewhere nothing is pinned.
@@ -284,6 +288,10 @@ TEST(Train, ConvNetWeightsMatchPinnedDigestsAtEveryTable) {
       {Arch::kMobileNet, KernelKind::kAvx2, 0x459ec801e7139bf5ULL},
       {Arch::kVGG11, KernelKind::kScalar, 0x4d3866d1d016f51eULL},
       {Arch::kVGG11, KernelKind::kAvx2, 0x737773f89cf7da68ULL},
+      {Arch::kResNet18, KernelKind::kScalar, 0xa8fbba9eabebd41fULL},
+      {Arch::kResNet18, KernelKind::kAvx2, 0xc36726023dfecc3dULL},
+      {Arch::kResNet50, KernelKind::kScalar, 0x173c33c35d05572dULL},
+      {Arch::kResNet50, KernelKind::kAvx2, 0x075227af8eabd685ULL},
   };
   kernels_test::KernelGuard guard;
   models::ModelConfig cfg;
