@@ -1,6 +1,8 @@
 #include "models/model_zoo.hpp"
 
+#include "nn/batchnorm.hpp"
 #include "nn/blocks.hpp"
+#include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
 #include "nn/dropout.hpp"
 #include "nn/flatten.hpp"
@@ -8,9 +10,9 @@
 
 namespace tdfm::models {
 
-using nn::AvgPool2D;
+using nn::basic_block;
 using nn::BatchNorm2D;
-using nn::BottleneckBlock;
+using nn::bottleneck_block;
 using nn::Conv2D;
 using nn::Dense;
 using nn::Dropout;
@@ -18,8 +20,7 @@ using nn::Flatten;
 using nn::GlobalAvgPool;
 using nn::MaxPool2D;
 using nn::ReLU;
-using nn::ResidualBasicBlock;
-using nn::SeparableConvBlock;
+using nn::separable_unit;
 using nn::Sequential;
 
 const char* arch_name(Arch arch) {
@@ -196,14 +197,14 @@ std::unique_ptr<Sequential> resnet18_body(const ModelConfig& c, Rng& rng) {
   auto body = std::make_unique<Sequential>();
   body->emplace<Conv2D>(c.in_channels, w, 16, 16, 3, 1, 1, rng);
   body->emplace<BatchNorm2D>(w, /*fuse_relu=*/true);
-  body->emplace<ResidualBasicBlock>(w, w, 16, 16, 1, rng);
-  body->emplace<ResidualBasicBlock>(w, w, 16, 16, 1, rng);
-  body->emplace<ResidualBasicBlock>(w, 2 * w, 16, 16, 2, rng);   // -> 8
-  body->emplace<ResidualBasicBlock>(2 * w, 2 * w, 8, 8, 1, rng);
-  body->emplace<ResidualBasicBlock>(2 * w, 4 * w, 8, 8, 2, rng); // -> 4
-  body->emplace<ResidualBasicBlock>(4 * w, 4 * w, 4, 4, 1, rng);
-  body->emplace<ResidualBasicBlock>(4 * w, 8 * w, 4, 4, 2, rng); // -> 2
-  body->emplace<ResidualBasicBlock>(8 * w, 8 * w, 2, 2, 1, rng);
+  body->add(basic_block(w, w, 16, 16, 1, rng));
+  body->add(basic_block(w, w, 16, 16, 1, rng));
+  body->add(basic_block(w, 2 * w, 16, 16, 2, rng));   // -> 8
+  body->add(basic_block(2 * w, 2 * w, 8, 8, 1, rng));
+  body->add(basic_block(2 * w, 4 * w, 8, 8, 2, rng)); // -> 4
+  body->add(basic_block(4 * w, 4 * w, 4, 4, 1, rng));
+  body->add(basic_block(4 * w, 8 * w, 4, 4, 2, rng)); // -> 2
+  body->add(basic_block(8 * w, 8 * w, 2, 2, 1, rng));
   body->emplace<GlobalAvgPool>();
   body->emplace<Dense>(8 * w, c.num_classes, rng);
   return body;
@@ -217,45 +218,45 @@ std::unique_ptr<Sequential> resnet50_body(const ModelConfig& c, Rng& rng) {
   body->emplace<Conv2D>(c.in_channels, w, 16, 16, 3, 1, 1, rng);
   body->emplace<BatchNorm2D>(w, /*fuse_relu=*/true);
   // Stage 1: 3 blocks, mid w, out 2w, 16x16.
-  body->emplace<BottleneckBlock>(w, w, 2 * w, 16, 16, 1, rng);
-  body->emplace<BottleneckBlock>(2 * w, w, 2 * w, 16, 16, 1, rng);
-  body->emplace<BottleneckBlock>(2 * w, w, 2 * w, 16, 16, 1, rng);
+  body->add(bottleneck_block(w, w, 2 * w, 16, 16, 1, rng));
+  body->add(bottleneck_block(2 * w, w, 2 * w, 16, 16, 1, rng));
+  body->add(bottleneck_block(2 * w, w, 2 * w, 16, 16, 1, rng));
   // Stage 2: 4 blocks, mid 2w, out 4w, first strided -> 8x8.
-  body->emplace<BottleneckBlock>(2 * w, 2 * w, 4 * w, 16, 16, 2, rng);
-  body->emplace<BottleneckBlock>(4 * w, 2 * w, 4 * w, 8, 8, 1, rng);
-  body->emplace<BottleneckBlock>(4 * w, 2 * w, 4 * w, 8, 8, 1, rng);
-  body->emplace<BottleneckBlock>(4 * w, 2 * w, 4 * w, 8, 8, 1, rng);
+  body->add(bottleneck_block(2 * w, 2 * w, 4 * w, 16, 16, 2, rng));
+  body->add(bottleneck_block(4 * w, 2 * w, 4 * w, 8, 8, 1, rng));
+  body->add(bottleneck_block(4 * w, 2 * w, 4 * w, 8, 8, 1, rng));
+  body->add(bottleneck_block(4 * w, 2 * w, 4 * w, 8, 8, 1, rng));
   // Stage 3: 6 blocks, mid 4w, out 8w, first strided -> 4x4.
-  body->emplace<BottleneckBlock>(4 * w, 4 * w, 8 * w, 8, 8, 2, rng);
+  body->add(bottleneck_block(4 * w, 4 * w, 8 * w, 8, 8, 2, rng));
   for (int i = 0; i < 5; ++i) {
-    body->emplace<BottleneckBlock>(8 * w, 4 * w, 8 * w, 4, 4, 1, rng);
+    body->add(bottleneck_block(8 * w, 4 * w, 8 * w, 4, 4, 1, rng));
   }
   // Stage 4: 3 blocks, mid 8w, out 16w, first strided -> 2x2.
-  body->emplace<BottleneckBlock>(8 * w, 8 * w, 16 * w, 4, 4, 2, rng);
-  body->emplace<BottleneckBlock>(16 * w, 8 * w, 16 * w, 2, 2, 1, rng);
-  body->emplace<BottleneckBlock>(16 * w, 8 * w, 16 * w, 2, 2, 1, rng);
+  body->add(bottleneck_block(8 * w, 8 * w, 16 * w, 4, 4, 2, rng));
+  body->add(bottleneck_block(16 * w, 8 * w, 16 * w, 2, 2, 1, rng));
+  body->add(bottleneck_block(16 * w, 8 * w, 16 * w, 2, 2, 1, rng));
   body->emplace<GlobalAvgPool>();
   body->emplace<Dense>(16 * w, c.num_classes, rng);
   return body;
 }
 
-// MobileNet: stem + 13 depthwise-separable blocks + GAP + FC
+// MobileNet: stem + 13 depthwise-separable units + GAP + FC
 //          = 1 + 26 conv + 1 FC.
 std::unique_ptr<Sequential> mobilenet_body(const ModelConfig& c, Rng& rng) {
   const std::size_t w = c.width;
   auto body = std::make_unique<Sequential>();
   body->emplace<Conv2D>(c.in_channels, w, 16, 16, 3, 1, 1, rng);
   body->emplace<BatchNorm2D>(w, /*fuse_relu=*/true);
-  body->emplace<SeparableConvBlock>(w, 2 * w, 16, 16, 1, rng);
-  body->emplace<SeparableConvBlock>(2 * w, 2 * w, 16, 16, 2, rng);  // -> 8
-  body->emplace<SeparableConvBlock>(2 * w, 4 * w, 8, 8, 1, rng);
-  body->emplace<SeparableConvBlock>(4 * w, 4 * w, 8, 8, 2, rng);    // -> 4
-  body->emplace<SeparableConvBlock>(4 * w, 8 * w, 4, 4, 1, rng);
+  separable_unit(*body, w, 2 * w, 16, 16, 1, rng);
+  separable_unit(*body, 2 * w, 2 * w, 16, 16, 2, rng);  // -> 8
+  separable_unit(*body, 2 * w, 4 * w, 8, 8, 1, rng);
+  separable_unit(*body, 4 * w, 4 * w, 8, 8, 2, rng);    // -> 4
+  separable_unit(*body, 4 * w, 8 * w, 4, 4, 1, rng);
   for (int i = 0; i < 6; ++i) {
-    body->emplace<SeparableConvBlock>(8 * w, 8 * w, 4, 4, 1, rng);
+    separable_unit(*body, 8 * w, 8 * w, 4, 4, 1, rng);
   }
-  body->emplace<SeparableConvBlock>(8 * w, 16 * w, 4, 4, 2, rng);   // -> 2
-  body->emplace<SeparableConvBlock>(16 * w, 16 * w, 2, 2, 1, rng);
+  separable_unit(*body, 8 * w, 16 * w, 4, 4, 2, rng);   // -> 2
+  separable_unit(*body, 16 * w, 16 * w, 2, 2, 1, rng);
   body->emplace<GlobalAvgPool>();
   body->emplace<Dense>(16 * w, c.num_classes, rng);
   return body;

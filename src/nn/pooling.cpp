@@ -79,61 +79,6 @@ Tensor MaxPool2D::backward(const Tensor& grad_output) {
   return grad;
 }
 
-Tensor AvgPool2D::forward(const Tensor& input, bool training) {
-  TDFM_CHECK(input.rank() == 4, "AvgPool2D expects [B, C, H, W]");
-  const std::size_t batch = input.dim(0), ch = input.dim(1);
-  const std::size_t h = input.dim(2), w = input.dim(3);
-  TDFM_CHECK(h % k_ == 0 && w % k_ == 0, "pooling needs divisible spatial dims");
-  const std::size_t oh = h / k_, ow = w / k_;
-  if (training) input_shape_ = input.shape();
-  Tensor out(Shape{batch, ch, oh, ow});
-  const float inv = 1.0F / static_cast<float>(k_ * k_);
-  std::size_t oi = 0;
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t c = 0; c < ch; ++c) {
-      const float* plane = input.data() + (b * ch + c) * h * w;
-      for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t x = 0; x < ow; ++x, ++oi) {
-          float acc = 0.0F;
-          for (std::size_t dy = 0; dy < k_; ++dy) {
-            for (std::size_t dx = 0; dx < k_; ++dx) {
-              acc += plane[(y * k_ + dy) * w + (x * k_ + dx)];
-            }
-          }
-          out[oi] = acc * inv;
-        }
-      }
-    }
-  }
-  return out;
-}
-
-Tensor AvgPool2D::backward(const Tensor& grad_output) {
-  TDFM_CHECK(input_shape_.rank() == 4, "AvgPool2D: backward without a training-mode forward");
-  Tensor grad(input_shape_);
-  const std::size_t batch = input_shape_[0], ch = input_shape_[1];
-  const std::size_t h = input_shape_[2], w = input_shape_[3];
-  const std::size_t oh = h / k_, ow = w / k_;
-  const float inv = 1.0F / static_cast<float>(k_ * k_);
-  std::size_t oi = 0;
-  for (std::size_t b = 0; b < batch; ++b) {
-    for (std::size_t c = 0; c < ch; ++c) {
-      float* plane = grad.data() + (b * ch + c) * h * w;
-      for (std::size_t y = 0; y < oh; ++y) {
-        for (std::size_t x = 0; x < ow; ++x, ++oi) {
-          const float g = grad_output[oi] * inv;
-          for (std::size_t dy = 0; dy < k_; ++dy) {
-            for (std::size_t dx = 0; dx < k_; ++dx) {
-              plane[(y * k_ + dy) * w + (x * k_ + dx)] += g;
-            }
-          }
-        }
-      }
-    }
-  }
-  return grad;
-}
-
 Tensor GlobalAvgPool::forward(const Tensor& input, bool training) {
   TDFM_CHECK(input.rank() == 4, "GlobalAvgPool expects [B, C, H, W]");
   if (training) input_shape_ = input.shape();

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <utility>
 
 #include "nn/layer.hpp"
@@ -9,8 +10,8 @@
 
 namespace tdfm::nn {
 
-/// Runs a list of layers in order; itself a Layer, so composite blocks
-/// (residual, separable) can nest Sequentials.
+/// Runs a list of layers in order; itself a Layer, so a residual unit's
+/// paths (blocks.hpp) are Sequentials too.
 class Sequential : public Layer {
  public:
   Sequential() = default;
@@ -29,33 +30,25 @@ class Sequential : public Layer {
     return ref;
   }
 
-  // The traced variants run identical arithmetic in identical order — a
-  // span is pure timing — so results stay bit-identical with tracing on.
+  // While tracing is on, each layer runs inside a span named after it; a
+  // span is pure timing, so results stay bit-identical with tracing on.
   Tensor forward(const Tensor& input, bool training) override {
-    if (obs::trace_enabled()) {
-      Tensor x = input;
-      for (auto& layer : layers_) {
-        obs::Span span(layer->name() + ":fwd");
-        x = layer->forward(x, training);
-      }
-      return x;
-    }
+    const bool traced = obs::trace_enabled();
     Tensor x = input;
-    for (auto& layer : layers_) x = layer->forward(x, training);
+    for (auto& layer : layers_) {
+      std::optional<obs::Span> span;
+      if (traced) span.emplace(layer->name() + ":fwd");
+      x = layer->forward(x, training);
+    }
     return x;
   }
 
   Tensor backward(const Tensor& grad_output) override {
-    if (obs::trace_enabled()) {
-      Tensor g = grad_output;
-      for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-        obs::Span span((*it)->name() + ":bwd");
-        g = (*it)->backward(g);
-      }
-      return g;
-    }
+    const bool traced = obs::trace_enabled();
     Tensor g = grad_output;
     for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
+      std::optional<obs::Span> span;
+      if (traced) span.emplace((*it)->name() + ":bwd");
       g = (*it)->backward(g);
     }
     return g;
@@ -65,44 +58,15 @@ class Sequential : public Layer {
     if (!layers_.empty()) layers_.front()->discard_input_grad();
   }
 
-  std::vector<Parameter*> parameters() override {
-    std::vector<Parameter*> ps;
-    for (auto& layer : layers_) {
-      for (auto* p : layer->parameters()) ps.push_back(p);
-    }
-    return ps;
-  }
-
-  std::vector<Tensor*> state() override {
-    std::vector<Tensor*> ts;
-    for (auto& layer : layers_) {
-      for (auto* t : layer->state()) ts.push_back(t);
-    }
-    return ts;
-  }
-
-  void quantize_for_inference() override {
-    for (auto& layer : layers_) layer->quantize_for_inference();
-  }
-
-  std::vector<kernels::Q8Matrix*> quantized_weights() override {
-    std::vector<kernels::Q8Matrix*> qs;
-    for (auto& layer : layers_) {
-      for (auto* q : layer->quantized_weights()) qs.push_back(q);
-    }
-    return qs;
+  [[nodiscard]] std::vector<Layer*> children() const override {
+    std::vector<Layer*> out;
+    for (const auto& layer : layers_) out.push_back(layer.get());
+    return out;
   }
 
   [[nodiscard]] std::string name() const override { return "Sequential"; }
 
-  [[nodiscard]] std::size_t weight_layer_count() const override {
-    std::size_t n = 0;
-    for (const auto& layer : layers_) n += layer->weight_layer_count();
-    return n;
-  }
-
   [[nodiscard]] std::size_t size() const { return layers_.size(); }
-  [[nodiscard]] Layer& layer(std::size_t i) { return *layers_.at(i); }
 
  private:
   std::vector<LayerPtr> layers_;

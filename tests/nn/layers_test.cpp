@@ -260,19 +260,6 @@ TEST(MaxPool, RejectsIndivisibleDims) {
   EXPECT_THROW((void)pool.forward(Tensor(Shape{1, 1, 3, 4}), true), InvariantError);
 }
 
-TEST(AvgPool, AveragesAndSpreadsGradient) {
-  AvgPool2D pool(2);
-  Tensor x(Shape{1, 1, 2, 2});
-  x[0] = 1.0F;
-  x[1] = 2.0F;
-  x[2] = 3.0F;
-  x[3] = 6.0F;
-  const Tensor y = pool.forward(x, true);
-  EXPECT_NEAR(y[0], 3.0F, 1e-6F);
-  const Tensor gx = pool.backward(Tensor::full(Shape{1, 1, 1, 1}, 4.0F));
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_NEAR(gx[i], 1.0F, 1e-6F);
-}
-
 TEST(GlobalAvgPool, ReducesSpatialDims) {
   GlobalAvgPool gap;
   Tensor x(Shape{2, 3, 2, 2});
