@@ -107,16 +107,6 @@ static void parent_dw_unpad(const ParentDwPlan& plan, const float* scratch, floa
   }
 }
 
-static void parent_dw_pad_gradient(const ParentDwPlan& plan, const float* gout, float* scratch) {
-  float* grad = scratch + plan.plane_floats;
-  std::memset(grad, 0, plan.grad_rows * plan.grad_row_len * sizeof(float));
-  for (std::size_t y = 0; y < plan.out_h; ++y) {
-    std::memcpy(grad + (y + plan.grad_lead) * plan.grad_row_len + plan.grad_lead,
-                gout + y * plan.out_w, plan.out_w * sizeof(float));
-  }
-}
-
-
 void dw_parent_forward_scalar(const ParentDwPlan& plan, const float* in,
                        const float* filter, float bias, float* out,
                        float* scratch) {
@@ -196,6 +186,15 @@ inline float hsum256(__m256 v) {
 // Output rows computed together: independent FMA chains per tap, so the
 // chains' latency overlaps instead of adding up.
 constexpr std::size_t kRows = 4;
+
+void parent_dw_pad_gradient(const ParentDwPlan& plan, const float* gout, float* scratch) {
+  float* grad = scratch + plan.plane_floats;
+  std::memset(grad, 0, plan.grad_rows * plan.grad_row_len * sizeof(float));
+  for (std::size_t y = 0; y < plan.out_h; ++y) {
+    std::memcpy(grad + (y + plan.grad_lead) * plan.grad_row_len + plan.grad_lead,
+                gout + y * plan.out_w, plan.out_w * sizeof(float));
+  }
+}
 
 }  // namespace
 
