@@ -32,6 +32,37 @@ MetricsSnapshot collect_snapshot(SnapshotMeta meta) {
   return snap;
 }
 
+std::string metric_line(const MetricSample& s) {
+  std::ostringstream os;
+  switch (s.kind) {
+    case MetricSample::Kind::kCounter:
+      os << "{\"type\":\"counter\",\"name\":" << json_string(s.name)
+         << ",\"value\":" << s.count << "}";
+      break;
+    case MetricSample::Kind::kGauge:
+      os << "{\"type\":\"gauge\",\"name\":" << json_string(s.name)
+         << ",\"value\":" << json_exact_number(s.value) << "}";
+      break;
+    case MetricSample::Kind::kHistogram: {
+      os << "{\"type\":\"histogram\",\"name\":" << json_string(s.name)
+         << ",\"count\":" << s.count << ",\"sum\":" << json_exact_number(s.value)
+         << ",\"upper_bounds\":[";
+      for (std::size_t i = 0; i < s.upper_bounds.size(); ++i) {
+        if (i) os << ',';
+        os << json_exact_number(s.upper_bounds[i]);
+      }
+      os << "],\"bucket_counts\":[";
+      for (std::size_t i = 0; i < s.bucket_counts.size(); ++i) {
+        if (i) os << ',';
+        os << s.bucket_counts[i];
+      }
+      os << "]}";
+      break;
+    }
+  }
+  return os.str();
+}
+
 std::string serialize_snapshot(const MetricsSnapshot& snap) {
   const SnapshotMeta& m = snap.meta;
   std::ostringstream os;
@@ -43,36 +74,7 @@ std::string serialize_snapshot(const MetricsSnapshot& snap) {
      << ",\"cells_executed\":" << m.cells_executed
      << ",\"cells_stolen\":" << m.cells_stolen
      << ",\"elapsed_seconds\":" << json_exact_number(m.elapsed_seconds) << "}\n";
-  // Metric lines use the same shapes obs/telemetry.cpp streams, so one
-  // schema serves both the telemetry file and the plane.
-  for (const MetricSample& s : snap.samples) {
-    switch (s.kind) {
-      case MetricSample::Kind::kCounter:
-        os << "{\"type\":\"counter\",\"name\":" << json_string(s.name)
-           << ",\"value\":" << s.count << "}\n";
-        break;
-      case MetricSample::Kind::kGauge:
-        os << "{\"type\":\"gauge\",\"name\":" << json_string(s.name)
-           << ",\"value\":" << json_exact_number(s.value) << "}\n";
-        break;
-      case MetricSample::Kind::kHistogram: {
-        os << "{\"type\":\"histogram\",\"name\":" << json_string(s.name)
-           << ",\"count\":" << s.count << ",\"sum\":" << json_exact_number(s.value)
-           << ",\"upper_bounds\":[";
-        for (std::size_t i = 0; i < s.upper_bounds.size(); ++i) {
-          if (i) os << ',';
-          os << json_exact_number(s.upper_bounds[i]);
-        }
-        os << "],\"bucket_counts\":[";
-        for (std::size_t i = 0; i < s.bucket_counts.size(); ++i) {
-          if (i) os << ',';
-          os << s.bucket_counts[i];
-        }
-        os << "]}\n";
-        break;
-      }
-    }
-  }
+  for (const MetricSample& s : snap.samples) os << metric_line(s) << '\n';
   return os.str();
 }
 

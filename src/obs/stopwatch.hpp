@@ -15,15 +15,10 @@ class Stopwatch {
  public:
   Stopwatch() : start_(clock::now()) {}
 
-  void restart() { start_ = clock::now(); }
-
-  /// Seconds elapsed since construction or the last restart().
+  /// Seconds elapsed since construction.
   [[nodiscard]] double elapsed_seconds() const {
     return std::chrono::duration<double>(clock::now() - start_).count();
   }
-
-  /// Milliseconds elapsed.
-  [[nodiscard]] double elapsed_ms() const { return elapsed_seconds() * 1e3; }
 
  private:
   using clock = std::chrono::steady_clock;

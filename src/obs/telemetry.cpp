@@ -9,6 +9,7 @@
 #include "core/error.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
+#include "obs/snapshot.hpp"
 
 namespace tdfm::obs {
 
@@ -121,36 +122,7 @@ void flush_metrics() {
   SinkState& s = sink();
   const std::lock_guard<std::mutex> lk(s.mu);
   if (!s.open) return;
-  for (const MetricSample& m : samples) {
-    std::string line;
-    switch (m.kind) {
-      case MetricSample::Kind::kCounter:
-        line = "{\"type\":\"counter\",\"name\":" + json_string(m.name) +
-               ",\"value\":" + std::to_string(m.count) + "}";
-        break;
-      case MetricSample::Kind::kGauge:
-        line = "{\"type\":\"gauge\",\"name\":" + json_string(m.name) +
-               ",\"value\":" + json_number(m.value) + "}";
-        break;
-      case MetricSample::Kind::kHistogram: {
-        line = "{\"type\":\"histogram\",\"name\":" + json_string(m.name) +
-               ",\"count\":" + std::to_string(m.count) +
-               ",\"sum\":" + json_number(m.value) + ",\"upper_bounds\":[";
-        for (std::size_t i = 0; i < m.upper_bounds.size(); ++i) {
-          if (i) line += ',';
-          line += json_number(m.upper_bounds[i]);
-        }
-        line += "],\"bucket_counts\":[";
-        for (std::size_t i = 0; i < m.bucket_counts.size(); ++i) {
-          if (i) line += ',';
-          line += std::to_string(m.bucket_counts[i]);
-        }
-        line += "]}";
-        break;
-      }
-    }
-    write_line_locked(s, line);
-  }
+  for (const MetricSample& m : samples) write_line_locked(s, metric_line(m));
 }
 
 }  // namespace tdfm::obs

@@ -108,6 +108,7 @@ TEST(Telemetry, JsonlSinkWritesOneValidObjectPerLine) {
   Histogram h = Registry::global().histogram("test.telemetry_hist", {1.0, 10.0});
   h.observe(0.5);
   h.observe(42.0);
+  Registry::global().gauge("test.telemetry_gauge").set(0.1);
   flush_metrics();
   set_metrics_output("");  // close so the file is complete on disk
 
@@ -123,6 +124,7 @@ TEST(Telemetry, JsonlSinkWritesOneValidObjectPerLine) {
   bool saw_cell = false;
   bool saw_counter = false;
   bool saw_hist = false;
+  bool saw_gauge = false;
   for (const std::string& line : lines) {
     EXPECT_TRUE(test::json_valid(line)) << line;
     if (line.find("\"type\":\"epoch\"") != std::string::npos &&
@@ -143,11 +145,17 @@ TEST(Telemetry, JsonlSinkWritesOneValidObjectPerLine) {
       saw_hist = true;
       EXPECT_NE(line.find("\"bucket_counts\":[1,0,1]"), std::string::npos) << line;
     }
+    if (line.find("\"name\":\"test.telemetry_gauge\"") != std::string::npos) {
+      // Every digit, as in snapshots: 0.1 reads back as the same double.
+      saw_gauge = true;
+      EXPECT_NE(line.find("\"value\":0.10000000000000001}"), std::string::npos) << line;
+    }
   }
   EXPECT_TRUE(saw_epoch);
   EXPECT_TRUE(saw_cell);
   EXPECT_TRUE(saw_counter);
   EXPECT_TRUE(saw_hist);
+  EXPECT_TRUE(saw_gauge);
 }
 
 }  // namespace
