@@ -10,8 +10,8 @@
 //   --log L      log verbosity
 //   --jobs N     concurrent campaign cells (study-backed benches)
 // plus the observability flags (core/cli.hpp): --metrics, --trace,
-// --log-timestamps, and --out (or its older alias --json) to write the
-// machine-readable result file somewhere instead of stdout.
+// --log-timestamps, and --out to write the machine-readable result file
+// somewhere instead of stdout.
 #pragma once
 
 #include <algorithm>
@@ -40,7 +40,6 @@ struct BenchSettings {
   std::size_t threads = 1;  ///< resolved worker-thread count (never 0)
   std::size_t jobs = 1;     ///< concurrent campaign cells (study benches)
   std::string out_path;     ///< --out result file ("" = print to stdout)
-  std::string json_path;    ///< legacy --json alias for --out
   std::string kernel;       ///< resolved GEMM kernel name (scalar/avx2)
   int vector_bits = 0;      ///< register width its fp32 GEMMs ran at (kernels.hpp)
 };
@@ -55,7 +54,6 @@ inline bool parse_bench_flags(int argc, char** argv, CliParser& cli,
                "model base channel width (paper-scale analogue: 8)");
   cli.add_flag("out", "", "write machine-readable bench results to this file "
                "instead of stdout");
-  cli.add_flag("json", "", "older alias for --out");
   cli.add_flag("jobs", "1", "concurrent campaign cells (study-backed benches)");
   cli.add_flag("kernel", "",
                "GEMM kernel: scalar|avx2 (default: best supported; "
@@ -68,7 +66,6 @@ inline bool parse_bench_flags(int argc, char** argv, CliParser& cli,
   settings.scale = cli.get_double("scale");
   settings.seed = cli.get_u64("seed");
   settings.out_path = cli.get_string("out");
-  settings.json_path = cli.get_string("json");
   settings.jobs = cli.get_size("jobs");
   set_log_level(parse_log_level(cli.get_string("log")));
   apply_obs_flags(cli);
@@ -143,7 +140,7 @@ inline void print_banner(const std::string& what, const BenchSettings& s) {
             << "  (paper: 20 trials, full datasets)\n\n";
 }
 
-/// Machine-readable bench output (--json flag): one JSON object carrying the
+/// Machine-readable bench output (--out flag): one JSON object carrying the
 /// bench name, the settings it ran with, and an ordered map of headline
 /// metrics.  Insertion order is preserved so files diff cleanly across runs.
 class BenchJson {
@@ -180,12 +177,8 @@ class BenchJson {
     return out.str();
   }
 
-  /// Emits the results where the flags asked for them: `--out` wins, the
-  /// legacy `--json` alias still works, and with neither the document goes
-  /// to stdout (scripted sweeps redirect with --out).
-  void emit(const BenchSettings& s) const {
-    deliver(render(), s.out_path.empty() ? s.json_path : s.out_path);
-  }
+  /// Emits the results to the `--out` file, or to stdout without one.
+  void emit(const BenchSettings& s) const { deliver(render(), s.out_path); }
 
  private:
   std::string bench_;

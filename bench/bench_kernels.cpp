@@ -38,7 +38,7 @@
 //
 //   $ ./bench/bench_kernels                      # sweep every supported kernel
 //   $ ./bench/bench_kernels --kernel avx2        # one kernel only
-//   $ ./bench/bench_kernels --json BENCH_kernels.json
+//   $ ./bench/bench_kernels --out BENCH_kernels.json
 #include <chrono>
 #include <cmath>
 #include <random>

@@ -14,7 +14,7 @@
 // single-core host forwards are compute-bound and the sweep stays flat.
 //
 //   $ ./bench/bench_serving --duration 2 --batch-sizes 1,4,8,16 --threads 0
-//   $ ./bench/bench_serving --rate 500 --deadline-ms 50 --json serving.json
+//   $ ./bench/bench_serving --rate 500 --deadline-ms 50 --out serving.json
 #include <algorithm>
 #include <charconv>
 #include <cmath>
@@ -212,7 +212,7 @@ int run(int argc, char** argv) {
   // engine's own serve.{queue_wait,compute}_us histograms are snapshotted
   // per configuration and folded with obs::Aggregator afterwards — the same
   // snapshot/merge path the multi-process campaign plane uses, exercised
-  // here in-process so --json carries histogram-estimated percentiles next
+  // here in-process so --out carries histogram-estimated percentiles next
   // to the exact sample-based ones.
   obs::set_metrics_enabled(true);
   std::vector<obs::MetricsSnapshot> sweep_snapshots;
