@@ -61,16 +61,10 @@ void set_log_level(LogLevel level) { g_level.store(level); }
 LogLevel log_level() { return g_level.load(); }
 
 void set_log_timestamps(bool on) { g_timestamps.store(on); }
-bool log_timestamps() { return g_timestamps.load(); }
 
 void set_log_prefix(std::string prefix) {
   const std::lock_guard<std::mutex> lk(g_prefix_mu);
   g_prefix = std::move(prefix);
-}
-
-std::string log_prefix() {
-  const std::lock_guard<std::mutex> lk(g_prefix_mu);
-  return g_prefix;
 }
 
 LogLevel parse_log_level(std::string_view name) {

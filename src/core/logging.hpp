@@ -25,13 +25,11 @@ void set_log_level(LogLevel level);
 /// Lines stay atomic (composed fully before the single stream write).
 /// Exposed on benches/examples as --log-timestamps.
 void set_log_timestamps(bool on);
-[[nodiscard]] bool log_timestamps();
 
 /// A fixed prefix prepended to every log line (after the timestamp, before
 /// the level tag), e.g. "[shard 1/3] " so interleaved multi-process stderr
 /// stays attributable.  Empty clears it.
 void set_log_prefix(std::string prefix);
-[[nodiscard]] std::string log_prefix();
 
 namespace detail {
 void log_line(LogLevel level, std::string_view msg);

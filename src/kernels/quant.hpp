@@ -44,10 +44,6 @@ struct Q8Matrix {
   AlignedBuffer<float> scales;      ///< [rows * blocks_per_row]
 
   [[nodiscard]] bool empty() const { return rows == 0; }
-  /// Bytes held by codes + scales (the served-network size accounting).
-  [[nodiscard]] std::size_t byte_size() const {
-    return data.size() * sizeof(std::int8_t) + scales.size() * sizeof(float);
-  }
 };
 
 /// Quantizes `rows` x `cols` row-major floats into `out`, reusing its

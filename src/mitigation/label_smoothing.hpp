@@ -19,7 +19,6 @@ class LabelSmoothingTechnique final : public Technique {
   [[nodiscard]] std::unique_ptr<Classifier> fit(const FitContext& ctx) override;
 
   [[nodiscard]] float alpha() const { return alpha_; }
-  [[nodiscard]] bool uses_relaxation() const { return use_relaxation_; }
 
  private:
   float alpha_;

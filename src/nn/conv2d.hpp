@@ -53,9 +53,6 @@ class Conv2D final : public Layer {
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t weight_layer_count() const override { return 1; }
 
-  [[nodiscard]] const ConvGeometry& geometry() const { return geom_; }
-  [[nodiscard]] std::size_t out_channels() const { return out_c_; }
-
  private:
   ConvGeometry geom_;
   std::size_t out_c_;

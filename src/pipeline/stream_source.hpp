@@ -52,7 +52,6 @@ class StreamSource {
 
   /// Total post-injection samples emitted so far (== next chunk's first_seq).
   [[nodiscard]] std::uint64_t emitted() const { return next_seq_; }
-  [[nodiscard]] std::size_t chunks_emitted() const { return chunk_index_; }
   [[nodiscard]] const StreamConfig& config() const { return config_; }
   [[nodiscard]] const data::Dataset& base() const { return base_; }
 

@@ -430,11 +430,6 @@ std::size_t StoreReader::restore_telemetry(const std::string& out_dir) const {
   return static_cast<std::size_t>(files);
 }
 
-bool is_store(const std::string& path) {
-  std::error_code ec;
-  return fs::is_regular_file(path + "/" + kManifestFile, ec);
-}
-
 std::vector<study::CellRecord> read_all_records(const std::string& dir) {
   return StoreReader(dir).read_all();
 }

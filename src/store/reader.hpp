@@ -86,9 +86,6 @@ class StoreReader {
   bool recovered_truncated_tail_ = false;
 };
 
-/// True when `path` looks like a results store (directory with a manifest).
-[[nodiscard]] bool is_store(const std::string& path);
-
 /// Convenience: open + read_all (study_runner's --store report path).
 [[nodiscard]] std::vector<study::CellRecord> read_all_records(
     const std::string& dir);

@@ -4,13 +4,6 @@
 
 namespace tdfm {
 
-void xavier_uniform(Tensor& w, std::size_t fan_in, std::size_t fan_out, Rng& rng) {
-  TDFM_CHECK(fan_in + fan_out > 0, "xavier needs positive fan");
-  const float a =
-      std::sqrt(6.0F / static_cast<float>(fan_in + fan_out));
-  uniform_init(w, -a, a, rng);
-}
-
 void he_normal(Tensor& w, std::size_t fan_in, Rng& rng) {
   TDFM_CHECK(fan_in > 0, "he init needs positive fan-in");
   const float stddev = std::sqrt(2.0F / static_cast<float>(fan_in));

@@ -6,10 +6,6 @@
 
 namespace tdfm {
 
-/// Glorot/Xavier uniform: U(-a, a) with a = sqrt(6 / (fan_in + fan_out)).
-/// Used for the final classifier layers where activations are linear/softmax.
-void xavier_uniform(Tensor& w, std::size_t fan_in, std::size_t fan_out, Rng& rng);
-
 /// He/Kaiming normal: N(0, sqrt(2 / fan_in)).  Used before ReLU activations.
 void he_normal(Tensor& w, std::size_t fan_in, Rng& rng);
 
